@@ -161,6 +161,9 @@ def validate_ranges(cfg: dict) -> None:
         raise ConfigError(f"out-of-range key 'n': must be a positive integer, got {cfg['n']}")
     if cfg["p"] <= 1:
         raise ConfigError(f"out-of-range key 'p': must exceed 1, got {cfg['p']}")
+    if not (cfg["t_end"] > 0 and math.isfinite(cfg["t_end"])):
+        raise ConfigError(f"out-of-range key 't_end': must be positive and finite, "
+                          f"got {cfg['t_end']}")
     if cfg["dt_max"] <= 0 or not (0 < cfg["safety"] <= 1):
         raise ConfigError("out-of-range key 'dt_max'/'safety'")
     if cfg["threshold"] < 1e3:
@@ -335,7 +338,7 @@ def cmd_lifespan(cfg, out) -> int:
              r.flagged) for r in rep.records]
     io.write_csv(os.path.join(out, "lifespan.csv"),
                  ["eps", "t_blowup", "band_low", "band_high", "flag"], rows)
-    usable = [(r.epsilon, r.t_blowup) for r in rep.records if r.t_blowup]
+    usable = [(r.epsilon, r.t_blowup) for r in rep.records if r.t_blowup is not None]
     io.write_plot_data(os.path.join(out, "lifespan.dat"),
                        [e for e, _ in usable], [t for _, t in usable],
                        comment="eps vs blow-up time")

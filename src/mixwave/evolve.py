@@ -43,6 +43,8 @@ class StepControl:
     snapshots: bool = False
 
     def __post_init__(self):
+        if not (self.t_end > 0 and math.isfinite(self.t_end)):
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not self.dt_max > 0:
             raise ValueError("dt_max must be positive")
         if not 0 < self.safety <= 1:

@@ -70,15 +70,49 @@ class KernelValues:
     dk1: np.ndarray | float
 
 
+# Taylor coefficients of the kernel series, highest order first
+_COSH_COEFFS = tuple(1.0 / math.factorial(2 * k) for k in range(5, -1, -1))
+_SINHC_COEFFS = tuple(1.0 / math.factorial(2 * k + 1) for k in range(5, -1, -1))
+
+
 def _cs_series(w):
     """cosh(sqrt(w)) and sinh(sqrt(w))/sqrt(w) as entire series in w, |w| small."""
-    c = np.zeros_like(w)
-    s = np.zeros_like(w)
-    # 6 terms: remainder ~ w^6/12! is far below roundoff for |w| <= 1e-4
-    for k in range(5, -1, -1):
-        c = c * w + 1.0 / math.factorial(2 * k)
-        s = s * w + 1.0 / math.factorial(2 * k + 1)
+    # 6 terms: remainder ~ w^6/12! is far below roundoff for |w| <= 1e-4;
+    # the Horner start 0*w + c equals c for the finite w of the band
+    c = _COSH_COEFFS[0] * w + _COSH_COEFFS[1]
+    s = _SINHC_COEFFS[0] * w + _SINHC_COEFFS[1]
+    for cc, sc in zip(_COSH_COEFFS[2:], _SINHC_COEFFS[2:]):
+        c = c * w + cc
+        s = s * w + sc
     return c, s
+
+
+def _band_kernels(t, w):
+    """(k0, k1, dk1) in the series band |w| <= _SERIES_W."""
+    c, s = _cs_series(w)
+    pref = np.exp(-0.5 * t)
+    return pref * (c + 0.5 * t * s), pref * t * s, pref * (c - 0.5 * t * s)
+
+
+def _real_root_kernels(t, d):
+    """(k0, k1, dk1) for two distinct real roots, d > 0."""
+    sq = np.sqrt(d)
+    lam_p = 0.5 * (-1.0 + sq)
+    lam_m = 0.5 * (-1.0 - sq)
+    # both roots <= 0: the exponentials only decay
+    ep = np.exp(lam_p * t)
+    em = np.exp(lam_m * t)
+    return (lam_p * em - lam_m * ep) / sq, (ep - em) / sq, (lam_p * ep - lam_m * em) / sq
+
+
+def _trig_kernels(t, w):
+    """(k0, k1, dk1) for a conjugate root pair, w < -_SERIES_W."""
+    x = np.sqrt(-w)                    # = omega * t > 0
+    pref = np.exp(-0.5 * t)
+    cos_x = np.cos(x)
+    sinc = np.sin(x) / x
+    return (pref * (cos_x + 0.5 * t * sinc), pref * t * sinc,
+            pref * (cos_x - 0.5 * t * sinc))
 
 
 def kernel_eval(params: OperatorParams, t, r) -> KernelValues:
@@ -88,52 +122,45 @@ def kernel_eval(params: OperatorParams, t, r) -> KernelValues:
     values satisfy dk1 + k1 = k0 and dk0 = -m*k1 up to roundoff, and at t=0
     reproduce the initial data (k0=1, k1=0, dk0=0, dk1=1).
     """
-    t_arr, r_arr = np.broadcast_arrays(np.asarray(t, float), np.asarray(r, float))
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr).astype(float)
-    r_arr = np.atleast_1d(r_arr).astype(float)
-    if np.any(t_arr < 0):
-        raise ValueError("t must be nonnegative")
+    t = np.asarray(t, float)
+    r = np.asarray(r, float)
+    scalar = t.ndim == 0 and r.ndim == 0
+    if t.ndim:
+        # time arrays: evaluate on the broadcast shape
+        t, r = (np.ascontiguousarray(a) for a in np.broadcast_arrays(t, r))
+        if (t < 0).any():
+            raise ValueError("t must be nonnegative")
+    else:
+        # one time for all radii: a 1-element array that broadcasts, so every
+        # transcendental still runs on contiguous data
+        if t < 0:
+            raise ValueError("t must be nonnegative")
+        t = t.reshape(1)
+        r = np.ascontiguousarray(np.atleast_1d(r))
 
-    m = np.asarray(symbol(params, r_arr), float)
+    m = symbol(params, r)
     d = 1.0 - 4.0 * m
-    w = d * (0.5 * t_arr) ** 2
+    half_t = 0.5 * t
+    w = d * (half_t * half_t)
 
-    k0 = np.empty_like(t_arr)
-    k1 = np.empty_like(t_arr)
-    dk1 = np.empty_like(t_arr)
-
-    band = np.abs(w) <= _SERIES_W
-    hyp = (w > _SERIES_W)
-    trig = (w < -_SERIES_W)
-
-    if band.any():
-        tb = t_arr[band]
-        c, s = _cs_series(w[band])
-        pref = np.exp(-0.5 * tb)
-        k0[band] = pref * (c + 0.5 * tb * s)
-        k1[band] = pref * tb * s
-        dk1[band] = pref * (c - 0.5 * tb * s)
-    if hyp.any():
-        th = t_arr[hyp]
-        sq = np.sqrt(d[hyp])
-        lam_p = 0.5 * (-1.0 + sq)
-        lam_m = 0.5 * (-1.0 - sq)
-        # both roots <= 0: the exponentials only decay
-        ep = np.exp(lam_p * th)
-        em = np.exp(lam_m * th)
-        k0[hyp] = (lam_p * em - lam_m * ep) / sq
-        k1[hyp] = (ep - em) / sq
-        dk1[hyp] = (lam_p * ep - lam_m * em) / sq
-    if trig.any():
-        tt = t_arr[trig]
-        x = np.sqrt(-w[trig])          # = omega * t
-        pref = np.exp(-0.5 * tt)
-        cos_x = np.cos(x)
-        sinc = np.where(x > 0, np.sin(x) / np.where(x > 0, x, 1.0), 1.0)
-        k0[trig] = pref * (cos_x + 0.5 * tt * sinc)
-        k1[trig] = pref * tt * sinc
-        dk1[trig] = pref * (cos_x - 0.5 * tt * sinc)
+    # w_min/w_max are NaN when w holds a NaN, which then takes the mixed path
+    w_min, w_max = w.min(), w.max()
+    if -_SERIES_W <= w_min and w_max <= _SERIES_W:
+        k0, k1, dk1 = _band_kernels(t, w)
+    elif w_min > _SERIES_W:
+        k0, k1, dk1 = _real_root_kernels(t, d)
+    elif w_max < -_SERIES_W:
+        k0, k1, dk1 = _trig_kernels(t, w)
+    else:
+        k0 = np.empty_like(w)
+        k1 = np.empty_like(w)
+        dk1 = np.empty_like(w)
+        for mask, branch, arg in ((np.abs(w) <= _SERIES_W, _band_kernels, w),
+                                  (w > _SERIES_W, _real_root_kernels, d),
+                                  (w < -_SERIES_W, _trig_kernels, w)):
+            if mask.any():
+                sub_t = t if t.size == 1 else t[mask]
+                k0[mask], k1[mask], dk1[mask] = branch(sub_t, arg[mask])
 
     dk0 = -m * k1
     if scalar:
@@ -205,42 +232,69 @@ _PHI_SERIES_TERMS = 26
 _DD_BAND = 1e-3
 
 
+# Taylor coefficients, highest order first: phi1 = sum z^k/(k+1)!,
+# psi = sum (k+1) z^k/(k+2)!, and phi_n = sum z^k/(k+n)! for the ladder
+_PHI1_COEFFS = tuple(1.0 / math.factorial(k + 1)
+                     for k in range(_PHI_SERIES_TERMS - 1, -1, -1))
+_PSI_COEFFS = tuple((k + 1.0) / math.factorial(k + 2)
+                    for k in range(_PHI_SERIES_TERMS - 1, -1, -1))
+_LADDER_COUNT = 7    # the fifth derivative of phi1 - phi2 reaches phi_7
+_LADDER_COEFFS = tuple(tuple(1.0 / math.factorial(k + n)
+                             for k in range(_PHI_SERIES_TERMS - 1, -1, -1))
+                       for n in range(1, _LADDER_COUNT + 1))
+_INV_FACTORIALS = tuple(1.0 / math.factorial(n) for n in range(_LADDER_COUNT))
+
+
+def _phi1_psi_series(z):
+    """Horner sums of phi1 and psi, for |z| < _PHI_SERIES_RADIUS."""
+    p1 = np.zeros_like(z)
+    ps = np.zeros_like(z)
+    for c1, cp in zip(_PHI1_COEFFS, _PSI_COEFFS):
+        p1 = p1 * z + c1
+        ps = ps * z + cp
+    return p1, ps
+
+
+def _phi1_psi_direct(z):
+    """Closed forms of phi1 and psi, for |z| >= _PHI_SERIES_RADIUS."""
+    ez = np.exp(z)
+    return (ez - 1.0) / z, (ez * (z - 1.0) + 1.0) / z**2
+
+
 def _phi1_psi(z: np.ndarray):
+    """phi1(z) and psi(z), elementwise.
+
+    Both branches use real coefficients only, so phi1/psi at conj(z) are the
+    conjugates bit for bit (tests check this on the solver's grids).
+    """
     z = np.asarray(z, complex)
+    small = np.abs(z) < _PHI_SERIES_RADIUS
+    n_small = np.count_nonzero(small)
+    if n_small == z.size:
+        return _phi1_psi_series(z)
+    if n_small == 0:
+        return _phi1_psi_direct(z)
     phi1 = np.empty_like(z)
     psi = np.empty_like(z)
-    small = np.abs(z) < _PHI_SERIES_RADIUS
-    if small.any():
-        zs = z[small]
-        p1 = np.zeros_like(zs)
-        ps = np.zeros_like(zs)
-        for k in range(_PHI_SERIES_TERMS - 1, -1, -1):
-            p1 = p1 * zs + 1.0 / math.factorial(k + 1)
-            ps = ps * zs + (k + 1.0) / math.factorial(k + 2)
-        phi1[small] = p1
-        psi[small] = ps
+    phi1[small], psi[small] = _phi1_psi_series(z[small])
     big = ~small
-    if big.any():
-        zb = z[big]
-        ez = np.exp(zb)
-        phi1[big] = (ez - 1.0) / zb
-        psi[big] = (ez * (zb - 1.0) + 1.0) / zb**2
+    phi1[big], psi[big] = _phi1_psi_direct(z[big])
     return phi1, psi
 
 
-def _phi_ladder(z: complex, count: int) -> list[complex]:
-    """phi_1(z) .. phi_count(z) for a scalar argument."""
+def _phi_ladder(z: complex) -> list[complex]:
+    """phi_1(z) .. phi_{_LADDER_COUNT}(z) for a scalar argument."""
     if abs(z) < _PHI_SERIES_RADIUS:
         out = []
-        for n in range(1, count + 1):
+        for coeffs in _LADDER_COEFFS:
             acc = 0.0 + 0.0j
-            for k in range(_PHI_SERIES_TERMS - 1, -1, -1):
-                acc = acc * z + 1.0 / math.factorial(k + n)
+            for c in coeffs:
+                acc = acc * z + c
             out.append(acc)
         return out
     out = [(np.exp(z) - 1.0) / z]
-    for n in range(1, count):
-        out.append((out[-1] - 1.0 / math.factorial(n)) / z)
+    for n in range(1, _LADDER_COUNT):
+        out.append((out[-1] - _INV_FACTORIALS[n]) / z)
     return out
 
 
@@ -253,8 +307,40 @@ def _combo_derivative(combo: dict[int, float]) -> dict[int, float]:
     return out
 
 
+def _taylor_combos(base: dict[int, float]):
+    """First, third and fifth z-derivatives of a phi combination."""
+    c1 = _combo_derivative(base)
+    c3 = _combo_derivative(_combo_derivative(c1))
+    c5 = _combo_derivative(_combo_derivative(c3))
+    return c1, c3, c5
+
+
+# divided differences of phi1 and of psi = phi1 - phi2 around the midpoint
+_DD1_COMBOS = _taylor_combos({1: 1.0})
+_DDP_COMBOS = _taylor_combos({1: 1.0, 2: -1.0})
+
+
 def _combo_eval(combo: dict[int, float], ladder: list[complex]) -> complex:
     return sum(c * ladder[n - 1] for n, c in combo.items())
+
+
+def _direct_differences(mu: float, delta: np.ndarray):
+    """Divided differences of phi1 and psi between z = mu + delta and mu - delta.
+
+    For a conjugate root pair delta is purely imaginary, so mu - delta is
+    exactly conj(mu + delta) and its phi values are the conjugates; only
+    real-root modes need a second evaluation.
+    """
+    zp = mu + delta
+    zm = mu - delta
+    p1p, psp = _phi1_psi(zp)
+    p1m = np.conj(p1p)
+    psm = np.conj(psp)
+    real = delta.real != 0.0
+    if real.any():
+        p1m[real], psm[real] = _phi1_psi(zm[real])
+    dz = zp - zm
+    return (p1p - p1m) / dz, (psp - psm) / dz
 
 
 @dataclass(frozen=True)
@@ -279,30 +365,24 @@ def duhamel_weights(params: OperatorParams, h: float, r) -> DuhamelWeights:
     r_arr = np.atleast_1d(np.asarray(r, float))
     scalar = np.ndim(r) == 0
 
-    m = np.atleast_1d(np.asarray(symbol(params, r_arr), float))
+    m = symbol(params, r_arr)
     sd = np.sqrt((1.0 - 4.0 * m).astype(complex))
     delta = 0.5 * h * sd                     # (z_plus - z_minus)/2
     mu = -0.5 * h                            # midpoint, root-independent
 
-    dd1 = np.empty_like(delta)
-    ddp = np.empty_like(delta)
     direct = np.abs(delta) >= _DD_BAND * max(1.0, abs(mu))
-    if direct.any():
-        zp = mu + delta[direct]
-        zm = mu - delta[direct]
-        p1p, psp = _phi1_psi(zp)
-        p1m, psm = _phi1_psi(zm)
-        dz = zp - zm
-        dd1[direct] = (p1p - p1m) / dz
-        ddp[direct] = (psp - psm) / dz
-    near = ~direct
-    if near.any():
-        ladder = _phi_ladder(complex(mu), 7)
+    n_direct = np.count_nonzero(direct)
+    if n_direct == delta.size:
+        dd1, ddp = _direct_differences(mu, delta)
+    else:
+        dd1 = np.empty_like(delta)
+        ddp = np.empty_like(delta)
+        if n_direct:
+            dd1[direct], ddp[direct] = _direct_differences(mu, delta[direct])
+        near = ~direct
+        ladder = _phi_ladder(complex(mu))
         d2 = delta[near] ** 2
-        for target, base in ((dd1, {1: 1.0}), (ddp, {1: 1.0, 2: -1.0})):
-            c1 = _combo_derivative(base)
-            c3 = _combo_derivative(_combo_derivative(c1))
-            c5 = _combo_derivative(_combo_derivative(c3))
+        for target, (c1, c3, c5) in ((dd1, _DD1_COMBOS), (ddp, _DDP_COMBOS)):
             f1 = _combo_eval(c1, ladder)
             f3 = _combo_eval(c3, ladder)
             f5 = _combo_eval(c5, ladder)
@@ -310,10 +390,8 @@ def duhamel_weights(params: OperatorParams, h: float, r) -> DuhamelWeights:
 
     w0 = (h * h) * dd1.real
     w1 = (h * h) * ddp.real
-    kv = kernel_eval(params, h, r_arr)
-    k1h = np.atleast_1d(np.asarray(kv.k1, float))
-    w0t = k1h
-    w1t = k1h - w0 / h
+    w0t = kernel_eval(params, h, r_arr).k1
+    w1t = w0t - w0 / h
     if scalar:
         return DuhamelWeights(float(w0[0]), float(w1[0]), float(w0t[0]), float(w1t[0]))
     return DuhamelWeights(w0, w1, w0t, w1t)

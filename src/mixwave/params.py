@@ -66,7 +66,7 @@ class OperatorParams:
 def symbol(params: OperatorParams, r):
     """Fourier symbol m(r) = a r^2 + b r^(2 sigma) at radial frequency r >= 0."""
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    if (r < 0).any():
         raise ValueError("radial frequency must be nonnegative")
     m = params.a * r**2 + params.b * r ** (2.0 * params.sigma)
     return m if m.ndim else float(m)

@@ -111,25 +111,40 @@ def _adaptive_r_max(integrand_amp: Callable[[np.ndarray], np.ndarray]) -> float:
 _PHASE_PER_PANEL = 20.0
 
 
-def _panel_integral(f: Callable[[np.ndarray], np.ndarray], r_max: float,
-                    spec: QuadratureSpec, order: int,
-                    phase: Callable[[np.ndarray], np.ndarray] | None) -> float:
+def _panel_splits(edges: np.ndarray,
+                  phase: Callable[[np.ndarray], np.ndarray] | None) -> list[int]:
+    """Sub-panels per panel between consecutive edges, so that each sees at
+    most _PHASE_PER_PANEL of phase; the phase is evaluated once on all edges."""
+    if phase is None:
+        return [1] * (len(edges) - 1)
+    dphis = np.abs(np.diff(phase(edges)))
+    return [max(1, int(math.ceil(float(dphi) / _PHASE_PER_PANEL))) for dphi in dphis]
+
+
+def _panel_bounds(r_max: float, spec: QuadratureSpec,
+                  phase: Callable[[np.ndarray], np.ndarray] | None) -> list[tuple]:
+    """(lo, hi) of every sub-panel, largest radii first, ending with the stub
+    [0, smallest edge]."""
     n_panels = int(math.ceil(spec.tail_decades * math.log(10.0) / math.log(spec.refinement)))
     edges = r_max * spec.refinement ** (-np.arange(n_panels + 1, dtype=float))
-    total = 0.0
-    for hi, lo in zip(edges[:-1], edges[1:]):
-        splits = 1
-        if phase is not None:
-            dphi = abs(float(phase(np.array([hi]))[0] - float(phase(np.array([lo]))[0])))
-            splits = max(1, int(math.ceil(dphi / _PHASE_PER_PANEL)))
-        sub = np.linspace(lo, hi, splits + 1)
-        for a_, b_ in zip(sub[:-1], sub[1:]):
-            x, w = _gauss_panels(a_, b_, order)
-            total += float(np.dot(w, f(x)))
+    bounds = []
+    for hi, lo, splits in zip(edges[:-1], edges[1:], _panel_splits(edges, phase)):
+        if splits == 1:
+            bounds.append((lo, hi))
+        else:
+            sub = np.linspace(lo, hi, splits + 1)
+            bounds.extend(zip(sub[:-1], sub[1:]))
     # stub below the last edge: integrand there is ~ r^(2s+n-1) * const
-    lo = edges[-1]
-    x, w = _gauss_panels(0.0, lo, order)
-    total += float(np.dot(w, f(x)))
+    bounds.append((0.0, edges[-1]))
+    return bounds
+
+
+def _panel_integral(f: Callable[[np.ndarray], np.ndarray], bounds: list[tuple],
+                    order: int) -> float:
+    total = 0.0
+    for a_, b_ in bounds:
+        x, w = _gauss_panels(a_, b_, order)
+        total += float(np.dot(w, f(x)))
     return total
 
 
@@ -144,8 +159,9 @@ def radial_integral(f: Callable[[np.ndarray], np.ndarray],
     """
     amp = amplitude if amplitude is not None else f
     r_max = spec.r_max if spec.r_max is not None else _adaptive_r_max(amp)
-    full = _panel_integral(f, r_max, spec, spec.panel_order, phase)
-    half = _panel_integral(f, r_max, spec, max(4, spec.panel_order // 2), phase)
+    bounds = _panel_bounds(r_max, spec, phase)
+    full = _panel_integral(f, bounds, spec.panel_order)
+    half = _panel_integral(f, bounds, max(4, spec.panel_order // 2))
     # the difference is dominated by the half-order error, so the gate only
     # screens for unresolved integrands, not the achieved accuracy
     err = abs(full - half)

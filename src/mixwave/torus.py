@@ -18,6 +18,8 @@ from .params import OperatorParams
 
 SNAPSHOT_MAGIC = b"MWSN"
 SNAPSHOT_VERSION = 1
+# version, n, N, L and t after the magic
+_SNAPSHOT_HEADER = struct.Struct("<IIIdd")
 
 
 class BlowUpDetected(RuntimeError):
@@ -260,8 +262,7 @@ def write_snapshot(path, grid: Grid, t: float, u: np.ndarray) -> None:
     """Binary dump: magic, version, n, N, L, t, then the row-major field."""
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<IIId", SNAPSHOT_VERSION, grid.n, grid.N, grid.L))
-        fh.write(struct.pack("<d", t))
+        fh.write(_SNAPSHOT_HEADER.pack(SNAPSHOT_VERSION, grid.n, grid.N, grid.L, t))
         fh.write(np.ascontiguousarray(u, dtype=np.float64).tobytes())
 
 
@@ -271,11 +272,13 @@ def read_snapshot(path):
         magic = fh.read(4)
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"not a snapshot file: bad magic {magic!r}")
-        version, n, N = struct.unpack("<III", fh.read(12))
+        header = fh.read(_SNAPSHOT_HEADER.size)
+        if len(header) < _SNAPSHOT_HEADER.size:
+            raise ValueError(f"truncated snapshot header: {len(header)} of "
+                             f"{_SNAPSHOT_HEADER.size} bytes after the magic")
+        version, n, N, L, t = _SNAPSHOT_HEADER.unpack(header)
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
-        (L,) = struct.unpack("<d", fh.read(8))
-        (t,) = struct.unpack("<d", fh.read(8))
         grid = Grid(n, N, L)
         data = np.frombuffer(fh.read(), dtype=np.float64)
         expected = N**n

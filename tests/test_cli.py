@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from mixwave import cli
 from mixwave.cli import ConfigError, main, read_config_file, resolve_config
+from mixwave.experiments import LifespanRecord, LifespanReport
 
 
 def run_cli(args):
@@ -40,6 +42,19 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="sigma excluded"):
             resolve_config(["exponents", "--a", "1", "--b", "1",
                             "--sigma", "1", "--n", "1"])
+
+    @pytest.mark.parametrize("t_end", ["nan", "inf", "-inf", "0", "-2"])
+    def test_t_end_positive_and_finite(self, t_end):
+        # validation only: a solve with such a horizon is never started
+        with pytest.raises(ConfigError, match="out-of-range key 't_end'"):
+            resolve_config(["solve", "--a", "1", "--b", "1", "--sigma", "0.5",
+                            "--n", "1", f"--t-end={t_end}"])
+
+    def test_t_end_nan_exits_2(self, tmp_path, capsys):
+        code = run_cli(["exponents", "--a", "1", "--b", "1", "--sigma", "0.5",
+                        "--n", "1", "--t-end", "nan", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "'t_end'" in capsys.readouterr().err
 
     def test_out_of_range_named(self):
         with pytest.raises(ConfigError, match="out-of-range key 'threshold'"):
@@ -103,6 +118,32 @@ class TestCommands:
                         "--out", str(tmp_path / "o")])
         assert code == 2
         assert "at least two" in capsys.readouterr().err
+
+    def test_lifespan_keeps_zero_blowup_time(self, tmp_path, monkeypatch):
+        # a member that blew up at t = 0.0 is a usable record, not a missing one
+        records = [LifespanRecord(0.5, 0.0, (0.0, 0.0), ""),
+                   LifespanRecord(0.25, 3.5, (3.0, 3.5), ""),
+                   LifespanRecord(0.125, None, (None, None), "", flagged="no blow-up")]
+        report = LifespanReport(records, -1.0, -1.0, None, None)
+        monkeypatch.setattr(cli, "lifespan_sweep", lambda *args, **kwargs: report)
+        out = tmp_path / "l"
+        code = run_cli(["lifespan-sweep", "--a", "1", "--b", "1", "--sigma", "0.5",
+                        "--n", "1", "--p", "1.5", "--eps-list", "0.5,0.25,0.125",
+                        "--out", str(out)])
+        assert code == 0
+        rows = (out / "lifespan.dat").read_text().splitlines()[1:]
+        assert rows == ["0.5 0.0", "0.25 3.5"]
+
+    def test_truncated_snapshot_header_exit_2(self, tmp_path, capsys):
+        snaps = tmp_path / "snaps"
+        snaps.mkdir()
+        for name in ("data_u0.bin", "data_u1.bin", "snap_00000.bin"):
+            (snaps / name).write_bytes(b"MWSN" + b"\x01\x00\x00\x00\x01")
+        code = run_cli(["blowup-functional", "--a", "1", "--b", "1", "--sigma", "0.5",
+                        "--n", "1", "--p", "1.5", "--snapshots-dir", str(snaps),
+                        "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "truncated snapshot header" in capsys.readouterr().err
 
     def test_solve_writes_series_and_summary(self, tmp_path):
         out = tmp_path / "s"

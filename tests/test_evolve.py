@@ -35,6 +35,12 @@ def test_step_control_validation():
         StepControl(t_end=1.0, blowup_threshold=100.0)
 
 
+@pytest.mark.parametrize("t_end", [float("nan"), float("inf"), 0.0, -1.0])
+def test_step_control_t_end_positive_and_finite(t_end):
+    with pytest.raises(ValueError, match="t_end"):
+        StepControl(t_end=t_end)
+
+
 class TestLinearStep:
     def test_two_half_steps_equal_one_full(self, grid):
         st, _, _ = initial_state(grid, eps=1.0)

@@ -6,7 +6,10 @@ from scipy.integrate import quad
 from scipy.optimize import bisect
 
 from mixwave.kernels import (
+    _DD_BAND,
+    _PHI_SERIES_RADIUS,
     Regime,
+    _phi1_psi,
     char_roots,
     duhamel_weights,
     kernel_eval,
@@ -14,6 +17,7 @@ from mixwave.kernels import (
     profile_hat,
 )
 from mixwave.params import OperatorParams, symbol
+from mixwave.torus import Grid
 
 P = OperatorParams(1.0, 1.0, 0.5, 1)
 
@@ -237,3 +241,56 @@ class TestDuhamelWeights:
     def test_h_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             duhamel_weights(P, 0.0, 1.0)
+
+
+# the grids of the blow-up certificate (criterion 8) and of the lifespan runs
+# (criterion 7); the step sizes span both branches of _phi1_psi
+GUARD_GRIDS = {"certificate": Grid(1, 2048, 50.0), "lifespan": Grid(1, 16384, 2560.0)}
+GUARD_STEPS = (1e-4, 2e-3, 0.02, 0.05, 0.2)
+
+
+def _half_split(h, r):
+    """Midpoint mu and half root distance delta of z = h*lambda at radii r."""
+    m = symbol(P, r)
+    return -0.5 * h, 0.5 * h * np.sqrt((1.0 - 4.0 * m).astype(complex))
+
+
+class TestConjugatePairReuse:
+    """duhamel_weights takes phi at the second root of a conjugate pair as the
+    conjugate of phi at the first; both sides are computed here in one process."""
+
+    @pytest.mark.parametrize("name", sorted(GUARD_GRIDS))
+    def test_phi_of_conjugate_is_conjugate_bitwise(self, name):
+        radii = GUARD_GRIDS[name].radii
+        series = direct = 0
+        for h in GUARD_STEPS:
+            mu, delta = _half_split(h, radii)
+            z = mu + delta[delta.real == 0.0]
+            assert z.size > 0
+            series += np.count_nonzero(np.abs(z) < _PHI_SERIES_RADIUS)
+            direct += np.count_nonzero(np.abs(z) >= _PHI_SERIES_RADIUS)
+            for got, want in zip(_phi1_psi(np.conj(z)), _phi1_psi(z)):
+                assert got.tobytes() == np.conj(want).tobytes()
+        assert series > 0 and direct > 0
+
+    @pytest.mark.parametrize("name", sorted(GUARD_GRIDS))
+    def test_weights_match_two_sided_evaluation_bitwise(self, name):
+        radii = GUARD_GRIDS[name].radii
+        real_roots = pairs = 0
+        for h in GUARD_STEPS:
+            mu, delta = _half_split(h, radii)
+            zp, zm = mu + delta, mu - delta
+            p1p, psp = _phi1_psi(zp)
+            p1m, psm = _phi1_psi(zm)
+            dz = zp - zm
+            w0 = (h * h) * ((p1p - p1m) / dz).real
+            w1 = (h * h) * ((psp - psm) / dz).real
+            # the divided differences are formed directly only off the
+            # degenerate band; inside it a Taylor step is used instead
+            direct = np.abs(delta) >= _DD_BAND * max(1.0, abs(mu))
+            real_roots += np.count_nonzero(direct & (delta.real != 0.0))
+            pairs += np.count_nonzero(direct & (delta.real == 0.0))
+            w = duhamel_weights(P, h, radii)
+            assert w.w0[direct].tobytes() == w0[direct].tobytes()
+            assert w.w1[direct].tobytes() == w1[direct].tobytes()
+        assert real_roots > 0 and pairs > 0

@@ -7,11 +7,14 @@ from scipy.special import gamma, gammainc
 from mixwave.kernels import kernel_eval, kernel_multiplier, profile_hat
 from mixwave.params import OperatorParams
 from mixwave.radial import (
+    _PHASE_PER_PANEL,
     QuadratureSpec,
     RadialDatum,
     fit_power_law,
+    _panel_splits,
     gaussian_datum,
     hs_norm,
+    kernel_phase,
     profile_error,
     radial_integral,
     surface_area,
@@ -190,3 +193,20 @@ class TestFitPowerLaw:
     def test_degenerate_series_rejected(self, series):
         with pytest.raises(ValueError):
             fit_power_law(series)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.5])
+def test_vectorised_panel_phases_give_per_edge_splits(sigma):
+    params = OperatorParams(1.0, 1.0, sigma, 1)
+    edges = 30.0 * 2.0 ** (-np.arange(61, dtype=float))
+    split_somewhere = False
+    for t in (1.0, 10.0, 1e3, 1e4):
+        phase = kernel_phase(params, t)
+        per_edge = []
+        for hi, lo in zip(edges[:-1], edges[1:]):
+            dphi = abs(float(phase(np.array([hi]))[0]) - float(phase(np.array([lo]))[0]))
+            per_edge.append(max(1, int(math.ceil(dphi / _PHASE_PER_PANEL))))
+        assert _panel_splits(edges, phase) == per_edge
+        split_somewhere |= max(per_edge) > 1
+    assert split_somewhere
+    assert _panel_splits(edges, None) == [1] * 60

@@ -219,6 +219,16 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="payload"):
             read_snapshot(path)
 
+    def test_truncated_header_rejected(self, grid, tmp_path):
+        path = tmp_path / "snap.bin"
+        write_snapshot(path, grid, 1.0, gaussian_field(grid, 1.0, 1.0))
+        data = path.read_bytes()
+        # cuts inside version/n/N, inside L and inside t
+        for cut in (6, 4 + 12, 4 + 12 + 8 + 3):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match="truncated snapshot header"):
+                read_snapshot(path)
+
     def test_slice_csv(self, grid, tmp_path):
         path = tmp_path / "slice.csv"
         write_slice_csv(path, grid, 2.0, gaussian_field(grid, 1.0, 1.0))
