@@ -201,12 +201,10 @@ class FunctionalReport:
     interp_error: float                         # |cubic - linear| scale of the time interpolation
 
 
-def _weight_fields(archive: SolutionArchive, tf: TestFunctions, padded: bool):
+def _weight_fields(archive: SolutionArchive, tf: TestFunctions):
     """phi_R, Lap(phi_R) and (-Lap)^sigma(phi_R) on the solution grid.
 
-    Torus-spectral weights keep the discrete self-adjointness identity exact;
-    padded=True instead embeds phi_R in an 8x larger box before applying the
-    nonlocal operator, trading identity exactness for a smaller tail bias.
+    Torus-spectral weights keep the discrete self-adjointness identity exact.
     """
     grid = archive.grid
     params = archive.params
@@ -215,21 +213,26 @@ def _weight_fields(archive: SolutionArchive, tf: TestFunctions, padded: bool):
     x_sq = _radius_sq(grid, scale)
     phi_r = w(x_sq)
     lap_phi = w.laplacian(x_sq) / scale**2
-    if not padded:
-        frac = to_physical(grid, to_spectral(grid, phi_r) * grid.radii ** (2.0 * params.sigma))
-    else:
-        if grid.n != 1:
-            raise ValueError("padded weights implemented for n = 1")
-        big = Grid(1, grid.N * 8, grid.L * 8)
-        phi_big = w(_radius_sq(big, scale))
-        f_big = to_physical(big, to_spectral(big, phi_big) * big.radii ** (2.0 * params.sigma))
-        lo = (big.N - grid.N) // 2
-        frac = f_big[lo:lo + grid.N]
+    frac = to_physical(grid, to_spectral(grid, phi_r) * grid.radii ** (2.0 * params.sigma))
     return phi_r, lap_phi, frac
 
 
+def _interpolant(archive: SolutionArchive):
+    """Stacked snapshots and their cubic spline in time.
+
+    Kept on the archive, so all radii of a sweep share one spline; built
+    again only after snapshots were appended.
+    """
+    n = len(archive.times)
+    if archive.interp_cache is None or archive.interp_cache[0] != n:
+        stacked = np.stack(archive.fields)
+        spline = CubicSpline(np.asarray(archive.times), stacked, axis=0)
+        archive.interp_cache = (n, stacked, spline)
+    return archive.interp_cache[1:]
+
+
 def evaluate_functionals(archive: SolutionArchive, tf: TestFunctions, p: float,
-                         time_nodes: int = 801, padded: bool = False) -> FunctionalReport:
+                         time_nodes: int = 801) -> FunctionalReport:
     """Space-time quadrature of the weighted functionals for one radius R.
 
     Trapezoid in time on a uniform refinement of the stored snapshot grid
@@ -244,10 +247,9 @@ def evaluate_functionals(archive: SolutionArchive, tf: TestFunctions, p: float,
         raise ValueError(
             f"archive covers t <= {times[-1]:.6g} but the cutoff needs {t_span:.6g}")
 
-    phi_r, lap_phi, frac_phi = _weight_fields(archive, tf, padded)
+    phi_r, lap_phi, frac_phi = _weight_fields(archive, tf)
     dv = grid.cell_volume
-    U = np.stack(archive.fields)
-    spline = CubicSpline(times, U, axis=0)
+    U, spline = _interpolant(archive)
 
     tq = np.linspace(0.0, t_span, time_nodes)
     tt = tq / t_span
@@ -264,7 +266,10 @@ def evaluate_functionals(archive: SolutionArchive, tf: TestFunctions, p: float,
     int_u_phi = flat @ phi_flat * dv
     int_u_lap = flat @ lap_flat * dv
     int_u_frac = flat @ frac_flat * dv
-    int_up_phi = (np.abs(flat) ** p) @ phi_flat * dv
+    # |u|^p overwrites the interpolated values, which are not read again
+    np.abs(flat, out=flat)
+    flat **= p
+    int_up_phi = flat @ phi_flat * dv
 
     j_r = float(np.trapezoid(eta_v * int_up_phi, tq))
     half = tt >= 0.5
@@ -310,8 +315,7 @@ def scaling_targets(params: OperatorParams, p: float) -> dict[str, float]:
 
 
 def scaling_sweep(archive: SolutionArchive, eta: Eta, R_list, p: float,
-                  sigma0: float | None = None, K: float = 1.0,
-                  padded: bool = False) -> ScalingReport:
+                  sigma0: float | None = None, K: float = 1.0) -> ScalingReport:
     """Fit log|J_i| - (1/p) log(J~ or J) against log R and compare to targets.
 
     Terms normalized by the restricted functional (time-derivative terms) use
@@ -329,7 +333,7 @@ def scaling_sweep(archive: SolutionArchive, eta: Eta, R_list, p: float,
     reports = []
     for r in R:
         tf = TestFunctions(sigma0=sigma0, eta=eta, R=r, K=K)
-        reports.append(evaluate_functionals(archive, tf, p, padded=padded))
+        reports.append(evaluate_functionals(archive, tf, p))
 
     noise = 1e-14 * max(abs(rep.j_r) for rep in reports)
     if any(rep.j_r_tilde <= noise for rep in reports):

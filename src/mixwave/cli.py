@@ -82,9 +82,12 @@ def _parse_value(key: str, raw: str):
             if lo in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
-        return typ(raw)
+        value = typ(raw)
     except ValueError as exc:
         raise ConfigError(f"invalid value for key '{key}': {raw!r}") from exc
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"out-of-range key '{key}': must be finite, got {raw!r}")
+    return value
 
 
 def read_config_file(path: str) -> dict:

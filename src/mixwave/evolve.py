@@ -102,6 +102,10 @@ class SolutionArchive:
     u1: np.ndarray           # eps-scaled velocity datum
     times: list[float] = field(default_factory=list)
     fields: list[np.ndarray] = field(default_factory=list)
+    # (snapshot count, stacked fields, cubic spline in time), built by the
+    # blowup module's space-time quadrature on first use
+    interp_cache: tuple | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
 
 @dataclass
@@ -126,6 +130,13 @@ class Propagator:
     dk1: np.ndarray
     w0: np.ndarray
     w1: np.ndarray
+    # corrector weights of etd2_step, formed once per build
+    w0_minus_w1: np.ndarray = field(init=False, repr=False)
+    w0_over_h: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.w0_minus_w1 = self.w0 - self.w1
+        self.w0_over_h = self.w0 / self.h
 
 
 def build_propagator(params: OperatorParams, grid: Grid, h: float) -> Propagator:
@@ -151,25 +162,32 @@ def etd2_step(state: FieldState, prop: Propagator, p: float,
     f0 may pass in the already-computed dealiased transform of |u(t)|^p.
     """
     g = state.grid
-    h = prop.h
+    t1 = state.t + prop.h
     if f0 is None:
         f0, _, _ = nonlinearity(g, state.uhat, p, state.t)
         if forcing is not None:
             f0 = f0 + forcing(state.t)
-    base_u = prop.k0 * state.uhat + prop.k1 * state.vhat
-    base_v = prop.dk0 * state.uhat + prop.dk1 * state.vhat
-    # predictor: constant-forcing Duhamel
-    pred = FieldState(base_u + prop.w0 * f0, base_v + prop.k1 * f0,
-                      state.t + h, g)
-    f1, _, _ = nonlinearity(g, pred.uhat, p, pred.t)
+    uhat, vhat = state.uhat, state.vhat
+    # u and v become the new state.  Products go to tmp, never over one of
+    # their operands (an aliased complex multiply can round differently);
+    # the in-place sums round as out-of-place ones do.
+    tmp = np.empty_like(uhat)
+    # predictor: exact linear flow plus constant-forcing Duhamel
+    u = np.multiply(prop.k0, uhat)
+    u += np.multiply(prop.k1, vhat, out=tmp)
+    u += np.multiply(prop.w0, f0, out=tmp)
+    v = np.multiply(prop.dk0, uhat)
+    v += np.multiply(prop.dk1, vhat, out=tmp)
+    v += np.multiply(prop.k1, f0, out=tmp)
+    df, _, _ = nonlinearity(g, u, p, t1)
     if forcing is not None:
-        f1 = f1 + forcing(pred.t)
-    df = f1 - f0
-    uhat = pred.uhat + (prop.w0 - prop.w1) * df
-    vhat = pred.vhat + (prop.w0 / h) * df
-    enforce_symmetry(g, uhat)
-    enforce_symmetry(g, vhat)
-    return FieldState(uhat, vhat, state.t + h, g)
+        df += forcing(t1)
+    df -= f0
+    u += np.multiply(prop.w0_minus_w1, df, out=tmp)
+    v += np.multiply(prop.w0_over_h, df, out=tmp)
+    enforce_symmetry(g, u)
+    enforce_symmetry(g, v)
+    return FieldState(u, v, t1, g)
 
 
 def resolution_horizon(params: OperatorParams, L: float) -> float:

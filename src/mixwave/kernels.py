@@ -143,7 +143,7 @@ def kernel_eval(params: OperatorParams, t, r) -> KernelValues:
     half_t = 0.5 * t
     w = d * (half_t * half_t)
 
-    # w_min/w_max are NaN when w holds a NaN, which then takes the mixed path
+    # w_min/w_max are NaN when w holds a NaN, and no branch test holds then
     w_min, w_max = w.min(), w.max()
     if -_SERIES_W <= w_min and w_max <= _SERIES_W:
         k0, k1, dk1 = _band_kernels(t, w)
@@ -151,6 +151,14 @@ def kernel_eval(params: OperatorParams, t, r) -> KernelValues:
         k0, k1, dk1 = _real_root_kernels(t, d)
     elif w_max < -_SERIES_W:
         k0, k1, dk1 = _trig_kernels(t, w)
+    elif math.isnan(w_min):
+        # no regime mask would select these entries of the outputs
+        if np.isnan(t).any():
+            raise ValueError("kernel_eval: time t is NaN")
+        if np.isnan(r).any():
+            raise ValueError("kernel_eval: radius r is NaN")
+        raise ValueError("kernel_eval: d*(t/2)^2 is inf*0, from an infinite "
+                         "radius at t = 0 or an infinite time")
     else:
         k0 = np.empty_like(w)
         k1 = np.empty_like(w)
@@ -247,12 +255,22 @@ _INV_FACTORIALS = tuple(1.0 / math.factorial(n) for n in range(_LADDER_COUNT))
 
 def _phi1_psi_series(z):
     """Horner sums of phi1 and psi, for |z| < _PHI_SERIES_RADIUS."""
-    p1 = np.zeros_like(z)
-    ps = np.zeros_like(z)
-    for c1, cp in zip(_PHI1_COEFFS, _PSI_COEFFS):
-        p1 = p1 * z + c1
-        ps = ps * z + cp
-    return p1, ps
+    # phi1 and psi share one buffer, so a Horner step is one multiply by
+    # [z, z] and one add per half.  Starting at the leading coefficient equals
+    # 0*z + c for finite z.  Products go to tmp, never in place: numpy's
+    # in-place complex multiply rounds differently on 1-element arrays.
+    n = z.size
+    zz = np.concatenate((z.ravel(), z.ravel()))
+    acc = np.empty_like(zz)
+    tmp = np.empty_like(zz)
+    p1, ps, tmp1, tmps = acc[:n], acc[n:], tmp[:n], tmp[n:]
+    p1[...] = _PHI1_COEFFS[0]
+    ps[...] = _PSI_COEFFS[0]
+    for c1, cp in zip(_PHI1_COEFFS[1:], _PSI_COEFFS[1:]):
+        np.multiply(acc, zz, out=tmp)
+        np.add(tmp1, c1, out=p1)
+        np.add(tmps, cp, out=ps)
+    return p1.reshape(z.shape), ps.reshape(z.shape)
 
 
 def _phi1_psi_direct(z):
@@ -329,16 +347,20 @@ def _direct_differences(mu: float, delta: np.ndarray):
 
     For a conjugate root pair delta is purely imaginary, so mu - delta is
     exactly conj(mu + delta) and its phi values are the conjugates; only
-    real-root modes need a second evaluation.
+    real-root modes need a second evaluation.  It rides along in the same
+    _phi1_psi call, whose cost on a few points is as high as on the grid.
     """
     zp = mu + delta
     zm = mu - delta
-    p1p, psp = _phi1_psi(zp)
+    real = delta.real != 0.0
+    n = zp.size
+    p1, ps = _phi1_psi(np.concatenate((zp.ravel(), zm[real])))
+    p1p = p1[:n].reshape(zp.shape)
+    psp = ps[:n].reshape(zp.shape)
     p1m = np.conj(p1p)
     psm = np.conj(psp)
-    real = delta.real != 0.0
-    if real.any():
-        p1m[real], psm[real] = _phi1_psi(zm[real])
+    p1m[real] = p1[n:]
+    psm[real] = ps[n:]
     dz = zp - zm
     return (p1p - p1m) / dz, (psp - psm) / dz
 

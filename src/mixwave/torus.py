@@ -116,14 +116,19 @@ class Grid:
         return (-1.0) ** ks[0][:, None] * (-1.0) ** ks[1][None, :]
 
 
+# norm="forward" puts the 1/N^n on the forward transform; N is a power of two,
+# so the result equals dividing the unnormalized transform by N^n bit for bit
 def to_spectral(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Physical field -> amplitude coefficients (zero mode = spatial mean)."""
-    return np.fft.rfftn(u) / grid.N**grid.n
+    if grid.n == 1:
+        return np.fft.rfft(u, norm="forward")
+    return np.fft.rfftn(u, norm="forward")
 
 
 def to_physical(grid: Grid, c: np.ndarray) -> np.ndarray:
-    shape = (grid.N,) * grid.n
-    return np.fft.irfftn(c * grid.N**grid.n, s=shape, axes=tuple(range(grid.n)))
+    if grid.n == 1:
+        return np.fft.irfft(c, grid.N, norm="forward")
+    return np.fft.irfftn(c, s=(grid.N, grid.N), axes=(0, 1), norm="forward")
 
 
 def enforce_symmetry(grid: Grid, c: np.ndarray) -> np.ndarray:
@@ -184,10 +189,6 @@ def apply_operator(params: OperatorParams, grid: Grid, chat: np.ndarray) -> np.n
     return chat * (params.a * r**2 + params.b * r ** (2.0 * params.sigma))
 
 
-def dealias(grid: Grid, chat: np.ndarray) -> np.ndarray:
-    return chat * grid.dealias_mask
-
-
 def nonlinearity(grid: Grid, uhat: np.ndarray, p: float, t: float = 0.0):
     """Spectral coefficients of |u|^p, dealiased.
 
@@ -197,14 +198,16 @@ def nonlinearity(grid: Grid, uhat: np.ndarray, p: float, t: float = 0.0):
     if p < 1:
         raise ValueError("nonlinearity power p must be >= 1")
     with np.errstate(invalid="ignore", over="ignore"):
-        u = to_physical(grid, uhat)
-    if not np.all(np.isfinite(u)):
+        a = to_physical(grid, uhat)
+    np.abs(a, out=a)
+    linf = float(a.max())
+    if not math.isfinite(linf):     # max propagates NaN, so this catches both
         raise BlowUpDetected(t)
-    f = np.abs(u) ** p
-    fhat = to_spectral(grid, f)
+    a **= p
+    fhat = to_spectral(grid, a)
     n_mass = grid.volume * fhat.flat[0].real   # zero mode unaffected by dealiasing
-    fhat = dealias(grid, fhat)
-    return enforce_symmetry(grid, fhat), float(np.max(np.abs(u))), float(n_mass)
+    fhat = fhat * grid.dealias_mask
+    return enforce_symmetry(grid, fhat), linf, float(n_mass)
 
 
 @dataclass(frozen=True)

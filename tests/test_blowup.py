@@ -9,6 +9,7 @@ from mixwave.blowup import (
     FracLapReport,
     SpatialWeight,
     TestFunctions,
+    _interpolant,
     default_sigma0,
     eta_condition_value,
     evaluate_functionals,
@@ -202,6 +203,30 @@ class TestScalingSweep:
         cs = sweep.bound_constants
         mid = 0.5 * (max(cs) + min(cs))
         assert max(cs) <= 1.2 * mid and min(cs) >= 0.8 * mid
+
+    def test_shared_interpolant_matches_fresh_one_per_radius(self, blowup_archive):
+        arc, T = blowup_archive
+        eta = make_eta(1.5)
+        r_hi = 0.45 * T
+        radii = np.geomspace(r_hi / math.sqrt(10), r_hi, 7)
+        sweep = scaling_sweep(arc, eta, radii, 1.5)
+        for r, rep in zip(sweep.radii, sweep.reports):
+            fresh = SolutionArchive(arc.grid, arc.params, arc.p, arc.eps, arc.u0, arc.u1,
+                                    times=list(arc.times), fields=list(arc.fields))
+            assert evaluate_functionals(fresh, TestFunctions(0.5, eta, r), 1.5) == rep
+
+    def test_interpolant_rebuilt_after_append(self):
+        grid = Grid(1, 64, 10.0)
+        z = np.zeros(grid.N)
+        arc = SolutionArchive(grid, P, 1.5, 0.0, z, z, times=[0.0, 1.0, 2.0],
+                              fields=[z, z + 1.0, z + 4.0])
+        stacked, spline = _interpolant(arc)
+        assert _interpolant(arc)[1] is spline
+        arc.times.append(3.0)
+        arc.fields.append(z + 9.0)
+        stacked, spline = _interpolant(arc)
+        assert stacked.shape == (4, grid.N)
+        assert spline(3.0)[0] == pytest.approx(9.0)
 
     def test_targets_arithmetic(self):
         t = scaling_targets(P, 1.5)   # p' = 3

@@ -56,6 +56,34 @@ class TestConfigResolution:
         assert code == 2
         assert "'t_end'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, key", [("--eps", "eps"), ("--box-l", "box_l"),
+                                           ("--threshold", "threshold"),
+                                           ("--k-scale", "k_scale")])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_float_named(self, flag, key, raw):
+        with pytest.raises(ConfigError, match=f"out-of-range key '{key}': must be finite"):
+            resolve_config(["solve", "--a", "1", "--b", "1", "--sigma", "0.5",
+                            "--n", "1", f"{flag}={raw}"])
+
+    def test_non_finite_config_file_value_named(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("command = solve\na = 1\nb = inf\nsigma = 0.5\nn = 1\n")
+        with pytest.raises(ConfigError, match="out-of-range key 'b': must be finite"):
+            read_config_file(str(path))
+
+    @pytest.mark.parametrize("flag, key", [("--eps", "eps"), ("--box-l", "box_l")])
+    def test_non_finite_solve_exits_2(self, tmp_path, capsys, flag, key):
+        # before the check, --eps nan ran and reported a blow-up at t = 0
+        bad = "nan" if key == "eps" else "inf"
+        code = run_cli(["solve", "--a", "1", "--b", "1", "--sigma", "0.5", "--n", "1",
+                        "--p", "1.5", "--grid-n", "64", "--t-end", "1.0",
+                        flag, bad, "--out", str(tmp_path / "o")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"'{key}'" in captured.err
+        assert "blew_up" not in captured.out
+        assert not (tmp_path / "o").exists()
+
     def test_out_of_range_named(self):
         with pytest.raises(ConfigError, match="out-of-range key 'threshold'"):
             resolve_config(["solve", "--a", "1", "--b", "1", "--sigma", "0.5",

@@ -16,7 +16,7 @@ from mixwave.evolve import (
 )
 from mixwave.kernels import kernel_eval
 from mixwave.params import OperatorParams
-from mixwave.torus import FieldState, Grid, to_spectral
+from mixwave.torus import FieldState, Grid, enforce_symmetry, nonlinearity, to_spectral
 
 P = OperatorParams(1.0, 1.0, 0.5, 1)
 
@@ -138,6 +138,69 @@ class TestEtd2:
         assert all(2.5 <= rate <= 3.5 for rate in rates_v)
         rates_u = [math.log2(diffs_u[i] / diffs_u[i + 1]) for i in range(2)]
         assert all(rate >= 2.5 for rate in rates_u)
+
+
+def etd2_step_unfused(state, prop, p, forcing=None, f0=None):
+    """The step as plain out-of-place array expressions, one temporary each."""
+    g, h = state.grid, prop.h
+    if f0 is None:
+        f0, _, _ = nonlinearity(g, state.uhat, p, state.t)
+        if forcing is not None:
+            f0 = f0 + forcing(state.t)
+    base_u = prop.k0 * state.uhat + prop.k1 * state.vhat
+    base_v = prop.dk0 * state.uhat + prop.dk1 * state.vhat
+    pred_u = base_u + prop.w0 * f0
+    pred_v = base_v + prop.k1 * f0
+    f1, _, _ = nonlinearity(g, pred_u, p, state.t + h)
+    if forcing is not None:
+        f1 = f1 + forcing(state.t + h)
+    df = f1 - f0
+    uhat = pred_u + (prop.w0 - prop.w1) * df
+    vhat = pred_v + (prop.w0 / h) * df
+    return enforce_symmetry(g, uhat), enforce_symmetry(g, vhat)
+
+
+class TestEtd2BitExact:
+    """etd2_step writes products into reused buffers; the sums must round as
+    the plain expressions do, on every grid the solver runs."""
+
+    @pytest.mark.parametrize("g", [Grid(1, 512, 50.0), Grid(1, 2048, 50.0),
+                                   Grid(2, 64, 16.0)])
+    @pytest.mark.parametrize("with_forcing", [False, True])
+    def test_matches_unfused_formula(self, g, with_forcing):
+        params = P if g.n == 1 else OperatorParams(1.0, 1.0, 1.5, 2)
+        forcing = None
+        if with_forcing:
+            def forcing(t):
+                return np.full(g.spectral_shape, 1e-3 * (1.0 + t), complex)
+        state, _, _ = initial_state(g, eps=2.0)
+        rng = np.random.default_rng(3)
+        state.vhat = state.vhat + 1e-4 * to_spectral(
+            g, rng.standard_normal((g.N,) * g.n))
+        for h in (0.05, 0.013, 1e-4):
+            prop = build_propagator(params, g, h)
+            for p in (1.5, 3.0):
+                f0, _, _ = nonlinearity(g, state.uhat, p, state.t)
+                f0_before = f0.copy()
+                got = etd2_step(state, prop, p, forcing=forcing, f0=f0)
+                assert f0.tobytes() == f0_before.tobytes()
+                want_u, want_v = etd2_step_unfused(state, prop, p, forcing, f0)
+                assert got.uhat.tobytes() == want_u.tobytes()
+                assert got.vhat.tobytes() == want_v.tobytes()
+                assert got.t == state.t + h
+                # and with the step computing f0 itself
+                got = etd2_step(state, prop, p, forcing=forcing)
+                want_u, want_v = etd2_step_unfused(state, prop, p, forcing)
+                assert got.uhat.tobytes() == want_u.tobytes()
+                assert got.vhat.tobytes() == want_v.tobytes()
+
+    def test_state_arrays_untouched(self, grid):
+        state, _, _ = initial_state(grid, eps=1.0)
+        before = state.copy()
+        out = etd2_step(state, build_propagator(P, grid, 0.02), 1.5)
+        assert state.uhat.tobytes() == before.uhat.tobytes()
+        assert state.vhat.tobytes() == before.vhat.tobytes()
+        assert out.uhat is not state.uhat and out.vhat is not state.vhat
 
 
 class TestRun:

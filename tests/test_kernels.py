@@ -7,9 +7,12 @@ from scipy.optimize import bisect
 
 from mixwave.kernels import (
     _DD_BAND,
+    _PHI1_COEFFS,
     _PHI_SERIES_RADIUS,
+    _PSI_COEFFS,
     Regime,
     _phi1_psi,
+    _phi1_psi_series,
     char_roots,
     duhamel_weights,
     kernel_eval,
@@ -185,6 +188,20 @@ class TestKernelValues:
         with pytest.raises(ValueError):
             kernel_eval(P, -1.0, 1.0)
 
+    @pytest.mark.parametrize("t, r, cause", [
+        (0.0, [1.0, np.inf, np.nan], "radius r is NaN"),
+        (1.0, [0.5, np.nan], "radius r is NaN"),
+        (0.0, [1.0, np.inf], "infinite radius at t = 0"),
+        (np.nan, [1.0, 2.0], "time t is NaN"),
+        ([1.0, np.nan], [1.0, 2.0], "time t is NaN"),
+        (np.nan, 1.0, "time t is NaN"),
+    ])
+    def test_nan_argument_rejected_by_name(self, t, r, cause):
+        # no regime selects a NaN w = d*(t/2)^2, so the outputs would be
+        # uninitialized memory
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=cause):
+            kernel_eval(P, t, np.asarray(r, float))
+
 
 class TestProfileHat:
     def test_direct_substitution(self):
@@ -294,3 +311,26 @@ class TestConjugatePairReuse:
             assert w.w0[direct].tobytes() == w0[direct].tobytes()
             assert w.w1[direct].tobytes() == w1[direct].tobytes()
         assert real_roots > 0 and pairs > 0
+
+
+def _horner_unbuffered(z):
+    p1 = np.zeros_like(z)
+    ps = np.zeros_like(z)
+    for c1, cp in zip(_PHI1_COEFFS, _PSI_COEFFS):
+        p1 = p1 * z + c1
+        ps = ps * z + cp
+    return p1, ps
+
+
+@pytest.mark.parametrize("z", [
+    np.array([0.3 + 0.2j]),
+    np.array([-0.7 + 0.0j]),
+    np.array([-1e-3 - 0.79j]),
+    np.linspace(-0.79, 0.79, 1025) * (1.0 + 0.3j),
+    -0.01 + 0.5j * GUARD_GRIDS["certificate"].radii / GUARD_GRIDS["certificate"].radii[-1],
+], ids=["scalar", "scalar-real", "scalar-imag", "grid", "certificate-grid"])
+def test_phi_series_buffers_match_plain_horner_bitwise(z):
+    # the buffered loop must round as the allocating one: an in-place
+    # complex multiply, for one, changes the bits of 1-element inputs
+    for got, want in zip(_phi1_psi_series(z), _horner_unbuffered(z)):
+        assert got.tobytes() == want.tobytes()

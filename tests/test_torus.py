@@ -11,7 +11,6 @@ from mixwave.torus import (
     Grid,
     apply_multiplier,
     apply_operator,
-    dealias,
     gaussian_field,
     mass,
     nonlinearity,
@@ -78,6 +77,18 @@ class TestTransforms:
         assert np.max(np.abs(to_physical(g, c) - u)) < 1e-12
         phys = math.sqrt(np.sum(u**2) * g.cell_volume)
         assert spectral_norm(g, c, 0.0) == pytest.approx(phys, rel=1e-12)
+
+    @pytest.mark.parametrize("n, N", [(1, 64), (1, 2048), (2, 64)])
+    def test_forward_normalization_is_bit_exact(self, n, N):
+        # norm="forward" must equal scaling the unnormalized transforms by
+        # N^n (a power of two, so exact) bit for bit
+        g = Grid(n, N, 7.0)
+        rng = np.random.default_rng(N + n)
+        u = rng.standard_normal((N,) * n) * 10.0 ** rng.uniform(-8, 8, (N,) * n)
+        c_old = np.fft.rfftn(u) / N**n
+        assert to_spectral(g, u).tobytes() == c_old.tobytes()
+        u_old = np.fft.irfftn(c_old * N**n, s=(N,) * n, axes=tuple(range(n)))
+        assert to_physical(g, c_old).tobytes() == u_old.tobytes()
 
 
 class TestMultipliers:
@@ -146,10 +157,15 @@ class TestNonlinearity:
 
     def test_dealias_zeroes_top_third(self, grid):
         rng = np.random.default_rng(8)
-        c = rng.standard_normal(grid.N // 2 + 1) + 0j
-        out = dealias(grid, c)
-        assert np.all(out[grid.N // 3 + 1:] == 0)
-        assert np.all(out[:grid.N // 3 + 1] == c[:grid.N // 3 + 1])
+        c = to_spectral(grid, rng.standard_normal(grid.N))
+        out, _, _ = nonlinearity(grid, c, 2.0)
+        full = to_spectral(grid, to_physical(grid, c) ** 2)
+        keep = grid.N // 3 + 1
+        assert np.all(out[keep:] == 0)
+        # the kept band is the undealiased transform, up to the exactly real
+        # zero mode that enforce_symmetry writes
+        assert np.all(out[1:keep] == full[1:keep])
+        assert out[0] == full[0].real
 
     def test_nonfinite_raises_blowup(self, grid):
         u = np.zeros(grid.N)
@@ -158,6 +174,32 @@ class TestNonlinearity:
             chat = to_spectral(grid, u)
         with pytest.raises(BlowUpDetected):
             nonlinearity(grid, chat, 2.0, t=1.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_each_nonfinite_kind_raises_blowup(self, grid, bad):
+        # the sup norm doubles as the finiteness test: a field of only NaN,
+        # only +inf or only -inf must each be caught
+        chat = np.zeros(grid.spectral_shape, complex)
+        chat[0] = bad
+        with np.errstate(invalid="ignore"):
+            u = to_physical(grid, chat)
+        assert np.all(np.isnan(u)) if np.isnan(bad) else np.all(u == bad)
+        with pytest.raises(BlowUpDetected) as info:
+            nonlinearity(grid, chat, 1.5, t=2.5)
+        assert info.value.t == 2.5
+
+    def test_nonlinearity_matches_unfused_formula_bitwise(self, grid):
+        rng = np.random.default_rng(11)
+        c = to_spectral(grid, gaussian_field(grid) + 0.1 * rng.standard_normal(grid.N))
+        for p in (1.5, 2.0, 3.0):
+            u = to_physical(grid, c)
+            want = to_spectral(grid, np.abs(u) ** p) * grid.dealias_mask
+            want[0] = want[0].real
+            want[-1] = want[-1].real
+            got, linf, n_mass = nonlinearity(grid, c, p)
+            assert got.tobytes() == want.tobytes()
+            assert linf == float(np.max(np.abs(u)))
+            assert n_mass == grid.volume * float(to_spectral(grid, np.abs(u) ** p)[0].real)
 
 
 class TestNormsAndMass:
