@@ -6,14 +6,10 @@ test-function blow-up certificate.
 
 from .params import OperatorParams, ExponentReport, exponents, symbol, theorem_hypotheses
 from .kernels import (
-    CharacteristicRoots,
     DuhamelWeights,
     KernelValues,
-    Regime,
-    char_roots,
     duhamel_weights,
     kernel_eval,
-    kernel_multiplier,
     profile_hat,
 )
 from .radial import (
@@ -49,14 +45,10 @@ __all__ = [
     "exponents",
     "symbol",
     "theorem_hypotheses",
-    "CharacteristicRoots",
     "DuhamelWeights",
     "KernelValues",
-    "Regime",
-    "char_roots",
     "duhamel_weights",
     "kernel_eval",
-    "kernel_multiplier",
     "profile_hat",
     "QuadratureError",
     "QuadratureSpec",

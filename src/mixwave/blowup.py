@@ -150,23 +150,25 @@ class FracLapReport:
     x_inner: np.ndarray
 
 
-def frac_lap_phi(sigma: float, sigma0: float, L_eval: float, n: int = 1,
-                 points_per_unit: float = 8.0, pad_factor: int = 8) -> FracLapReport:
-    """Spectral fractional Laplacian of the spatial weight.
+# frac_lap_phi works on a domain this many times the evaluation window
+_PAD_FACTOR = 8
 
-    Computed on a domain pad_factor times larger than the evaluation window
+
+def frac_lap_phi(sigma: float, sigma0: float, L_eval: float,
+                 points_per_unit: float = 8.0) -> FracLapReport:
+    """Spectral fractional Laplacian of the one-dimensional spatial weight.
+
+    Computed on a domain _PAD_FACTOR times larger than the evaluation window
     to suppress periodization of the slowly decaying tail, then restricted;
     reports the sup of |(-Lap)^sigma phi| / phi over the inner half-window.
     The weight must decay below 1e-8 at the big-domain boundary.
     """
-    if n != 1:
-        raise ValueError("the weight check is implemented for n = 1")
-    w = SpatialWeight(n, sigma0)
-    L_big = pad_factor * L_eval
+    w = SpatialWeight(1, sigma0)
+    L_big = _PAD_FACTOR * L_eval
     if w(L_big**2) >= 1e-8:
         raise ValueError(
             f"boundary decay violated: phi({L_big}) = {w(L_big**2):.3e} >= 1e-8; "
-            "increase L_eval or pad_factor")
+            "increase L_eval")
     N = 1 << int(math.ceil(math.log2(max(64, 2 * L_big * points_per_unit))))
     grid = Grid(1, N, L_big)
     phi = w(_radius_sq(grid))
@@ -198,7 +200,6 @@ class FunctionalReport:
     terms: tuple[float, float, float, float]   # time-d2, local, nonlocal, time-d1
     data_term: float                            # int (u(0)+u_t(0)) phi_R dx
     identity_residual: float                    # defect of the integration-by-parts identity
-    interp_error: float                         # |cubic - linear| scale of the time interpolation
 
 
 def _weight_fields(archive: SolutionArchive, tf: TestFunctions):
@@ -217,22 +218,25 @@ def _weight_fields(archive: SolutionArchive, tf: TestFunctions):
     return phi_r, lap_phi, frac
 
 
-def _interpolant(archive: SolutionArchive):
-    """Stacked snapshots and their cubic spline in time.
+def _interpolant(archive: SolutionArchive) -> CubicSpline:
+    """Cubic spline of the snapshots in time.
 
     Kept on the archive, so all radii of a sweep share one spline; built
     again only after snapshots were appended.
     """
     n = len(archive.times)
     if archive.interp_cache is None or archive.interp_cache[0] != n:
-        stacked = np.stack(archive.fields)
-        spline = CubicSpline(np.asarray(archive.times), stacked, axis=0)
-        archive.interp_cache = (n, stacked, spline)
-    return archive.interp_cache[1:]
+        spline = CubicSpline(np.asarray(archive.times), np.stack(archive.fields), axis=0)
+        archive.interp_cache = (n, spline)
+    return archive.interp_cache[1]
 
 
-def evaluate_functionals(archive: SolutionArchive, tf: TestFunctions, p: float,
-                         time_nodes: int = 801) -> FunctionalReport:
+# uniform time nodes of the space-time trapezoid rule
+_TIME_NODES = 801
+
+
+def evaluate_functionals(archive: SolutionArchive, tf: TestFunctions,
+                         p: float) -> FunctionalReport:
     """Space-time quadrature of the weighted functionals for one radius R.
 
     Trapezoid in time on a uniform refinement of the stored snapshot grid
@@ -242,23 +246,23 @@ def evaluate_functionals(archive: SolutionArchive, tf: TestFunctions, p: float,
     grid = archive.grid
     params = archive.params
     t_span = tf.R ** (2.0 * params.sigma_min)
-    times = np.asarray(archive.times)
-    if t_span > times[-1] + 1e-12:
+    t_last = archive.times[-1]
+    if t_span > t_last + 1e-12:
         raise ValueError(
-            f"archive covers t <= {times[-1]:.6g} but the cutoff needs {t_span:.6g}")
+            f"archive covers t <= {t_last:.6g} but the cutoff needs {t_span:.6g}")
 
     phi_r, lap_phi, frac_phi = _weight_fields(archive, tf)
     dv = grid.cell_volume
-    U, spline = _interpolant(archive)
+    spline = _interpolant(archive)
 
-    tq = np.linspace(0.0, t_span, time_nodes)
+    tq = np.linspace(0.0, t_span, _TIME_NODES)
     tt = tq / t_span
     eta_v = np.asarray(tf.eta(tt))
     eta_d1 = np.asarray(tf.eta.d1(tt)) / t_span
     eta_d2 = np.asarray(tf.eta.d2(tt)) / t_span**2
 
     uq = spline(tq)
-    flat = uq.reshape(time_nodes, -1)
+    flat = uq.reshape(_TIME_NODES, -1)
     phi_flat = phi_r.ravel()
     lap_flat = lap_phi.ravel()
     frac_flat = frac_phi.ravel()
@@ -280,17 +284,8 @@ def evaluate_functionals(archive: SolutionArchive, tf: TestFunctions, p: float,
     j4 = float(np.trapezoid(eta_d1 * int_u_phi, tq))
     data_term = float(np.sum((archive.u0 + archive.u1) * phi_r) * dv)
 
-    # linear-in-time interpolation as the error probe for the cubic one
-    idx = np.searchsorted(times, tq, side="right").clip(1, len(times) - 1)
-    w_hi = (tq - times[idx - 1]) / (times[idx] - times[idx - 1])
-    U_phi = U.reshape(len(times), -1) @ phi_flat * dv
-    lin = (1 - w_hi) * U_phi[idx - 1] + w_hi * U_phi[idx]
-    j1_lin = float(np.trapezoid(eta_d2 * lin, tq))
-    interp_err = abs(j1 - j1_lin)
-
     residual = j_r - (-data_term + j1 - j2 + j3 - j4)
-    return FunctionalReport(j_r, j_tilde, (j1, j2, j3, j4), data_term,
-                            float(residual), float(interp_err))
+    return FunctionalReport(j_r, j_tilde, (j1, j2, j3, j4), data_term, float(residual))
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,17 @@ def validate_ranges(cfg: dict) -> None:
         raise ConfigError("out-of-range key 'dt_max'/'safety'")
     if cfg["threshold"] < 1e3:
         raise ConfigError(f"out-of-range key 'threshold': must be >= 1e3, got {cfg['threshold']}")
+    if cfg["width"] <= 0:
+        raise ConfigError(f"out-of-range key 'width': must be positive, got {cfg['width']}")
+    for key, positive in (("eps_list", True), ("r_list", True), ("s_list", False)):
+        try:
+            entries = _floats(cfg[key])
+        except ValueError:
+            raise ConfigError(f"invalid value for key '{key}': {cfg[key]!r}") from None
+        if not all(math.isfinite(v) and (v > 0 or not positive) for v in entries):
+            rule = "finite and positive" if positive else "finite"
+            raise ConfigError(f"out-of-range key '{key}': entries must be {rule}, "
+                              f"got {cfg[key]!r}")
 
 
 def _floats(csv_text: str) -> list[float]:

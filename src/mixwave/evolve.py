@@ -102,8 +102,8 @@ class SolutionArchive:
     u1: np.ndarray           # eps-scaled velocity datum
     times: list[float] = field(default_factory=list)
     fields: list[np.ndarray] = field(default_factory=list)
-    # (snapshot count, stacked fields, cubic spline in time), built by the
-    # blowup module's space-time quadrature on first use
+    # (snapshot count, cubic spline in time), built by the blowup module's
+    # space-time quadrature on first use
     interp_cache: tuple | None = field(default=None, init=False, repr=False,
                                        compare=False)
 
@@ -205,19 +205,17 @@ def initial_state(grid: Grid, eps: float, width: float = 1.0):
     return FieldState.from_fields(grid, u0, u1), u0, u1
 
 
-def run(params: OperatorParams, state: FieldState, ctrl: StepControl, p: float,
-        s: float | None = None, linear_only: bool = False, forcing=None,
-        u0: np.ndarray | None = None, u1: np.ndarray | None = None,
-        eps: float = float("nan")) -> RunOutcome:
+def run(params: OperatorParams, state: FieldState, ctrl: StepControl, p: float, *,
+        u0: np.ndarray, u1: np.ndarray, eps: float = float("nan"),
+        linear_only: bool = False) -> RunOutcome:
     """Evolve the state to t_end or finite-time blow-up.
 
     Records norms on the geometric grid t0 * ratio^k, accumulates the mass
     functionals, tracks threshold-crossing times, and (optionally) archives
-    physical snapshots for the space-time functionals.
+    physical snapshots and the data u0, u1 for the space-time functionals.
+    Raises ValueError on non-finite data or data already at the threshold.
     """
     grid = state.grid
-    if s is None:
-        s = params.sigma_min
     series = NormSeries()
     acc = MassAccumulator()
     state = state.copy()
@@ -226,18 +224,13 @@ def run(params: OperatorParams, state: FieldState, ctrl: StepControl, p: float,
 
     archive = None
     if ctrl.snapshots:
-        z = np.zeros((grid.N,) * grid.n)
-        archive = SolutionArchive(grid, params, p,
-                                  eps,
-                                  u0 if u0 is not None else state.physical_u(),
-                                  u1 if u1 is not None else z)
+        archive = SolutionArchive(grid, params, p, eps, u0, u1)
 
     stop_threshold = max(ctrl.blowup_threshold,
                          THRESHOLD_LADDER[-1] if ctrl.track_band else 0.0)
+    thresholds = sorted(set(THRESHOLD_LADDER) | {ctrl.blowup_threshold})
     crossings: dict[float, float] = {}
     warnings: list[str] = []
-    status = RunStatus.COMPLETED
-    t_final = ctrl.t_end
     next_record = ctrl.record_t0
     prev_n = None
     n_steps = 0
@@ -257,13 +250,14 @@ def run(params: OperatorParams, state: FieldState, ctrl: StepControl, p: float,
                 n_now = 0.0
             else:
                 f0, linf, n_now = nonlinearity(grid, state.uhat, p, t)
-                if forcing is not None:
-                    f0 = f0 + forcing(t)
         except BlowUpDetected:
-            status = RunStatus.BLEW_UP
-            t_final = t
+            if n_steps == 0:
+                raise ValueError("non-finite initial data") from None
             warnings.append(f"non-finite values at t = {t}")
             break
+        if n_steps == 0 and linf >= ctrl.blowup_threshold:
+            raise ValueError(f"initial data at or over the blow-up threshold: sup|u| = "
+                             f"{linf:g} >= {ctrl.blowup_threshold:g}")
 
         # trapezoid accumulation of the nonlinear mass and damped memory
         if prev_n is not None:
@@ -273,7 +267,7 @@ def run(params: OperatorParams, state: FieldState, ctrl: StepControl, p: float,
                                  + 0.5 * h_prev * (math.exp(-h_prev) * n_prev + n_now))
 
         if t == 0.0 or t >= next_record or t >= ctrl.t_end:
-            ns = norms(state, s)
+            ns = norms(state, params.sigma_min)
             series.t.append(t)
             series.l2.append(ns.l2)
             series.hs.append(ns.hs)
@@ -288,25 +282,18 @@ def run(params: OperatorParams, state: FieldState, ctrl: StepControl, p: float,
             while next_record <= t:
                 next_record *= ctrl.record_ratio
 
-        for thr in sorted(set(THRESHOLD_LADDER) | {ctrl.blowup_threshold}):
+        for thr in thresholds:
             if linf > thr and thr not in crossings:
                 crossings[thr] = t
-        if ctrl.blowup_threshold in crossings and (not ctrl.track_band
-                                                   or linf > stop_threshold):
-            status = RunStatus.BLEW_UP
-            t_final = crossings[ctrl.blowup_threshold]
-            break
         if ctrl.blowup_threshold in crossings:
+            if not ctrl.track_band or linf > stop_threshold:
+                break
             band_steps += 1
             # an unresolved spike can crawl below the band edge indefinitely
             if band_steps > 50000:
-                status = RunStatus.BLEW_UP
-                t_final = crossings[ctrl.blowup_threshold]
                 warnings.append("band tracking truncated (slow divergence)")
                 break
         if t >= ctrl.t_end:
-            status = RunStatus.COMPLETED
-            t_final = t
             break
 
         h = min(ctrl.dt_max, ctrl.t_end - t)
@@ -316,8 +303,6 @@ def run(params: OperatorParams, state: FieldState, ctrl: StepControl, p: float,
                 h = min(h, ctrl.safety / denom)
         if t + h == t:
             # the adaptive step underflowed the clock: an unresolved divergence
-            status = RunStatus.BLEW_UP
-            t_final = t
             warnings.append(f"step size underflow at t = {t}; treating as blow-up")
             break
         if prop is None or prop.h != h:
@@ -326,20 +311,22 @@ def run(params: OperatorParams, state: FieldState, ctrl: StepControl, p: float,
             if linear_only:
                 state = linear_step(state, prop)
             else:
-                state = etd2_step(state, prop, p, forcing=forcing, f0=f0)
+                state = etd2_step(state, prop, p, f0=f0)
         except BlowUpDetected as exc:
-            status = RunStatus.BLEW_UP
-            t_final = exc.t
-            warnings.append(f"non-finite values during step at t = {exc.t}")
+            t = exc.t
+            warnings.append(f"non-finite values during step at t = {t}")
             break
         prev_n = (h, n_now)
         n_steps += 1
         min_h = min(min_h, h)
 
-    # a band-tracking run can reach t_end after the configured threshold fired
+    # the threshold crossing is the blow-up time, also when band tracking ran on
+    # to t_end; every exit but t_end left a warning and is a blow-up at t
     if ctrl.blowup_threshold in crossings:
-        status = RunStatus.BLEW_UP
-        t_final = min(t_final, crossings[ctrl.blowup_threshold])
+        status, t_final = RunStatus.BLEW_UP, crossings[ctrl.blowup_threshold]
+    else:
+        status = RunStatus.BLEW_UP if warnings else RunStatus.COMPLETED
+        t_final = t
 
     horizon = resolution_horizon(params, grid.L)
     if t_final > horizon:

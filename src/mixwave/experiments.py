@@ -207,7 +207,6 @@ class LifespanRecord:
     epsilon: float
     t_blowup: float | None
     threshold_band: tuple[float | None, float | None]
-    grid_tag: str
     flagged: str = ""
 
 
@@ -223,7 +222,7 @@ class LifespanReport:
 
 def lifespan_sweep(params: OperatorParams, p: float, eps_list, grid: Grid,
                    dt_max: float = 0.05, t_cap: float = 4000.0,
-                   threshold: float = 1e6, grid_tag: str = "") -> LifespanReport:
+                   threshold: float = 1e6) -> LifespanReport:
     """Fit the blow-up-time scaling law over a sweep of data sizes.
 
     Sub-critical p fits log T against log eps and reports the slope next to
@@ -251,11 +250,11 @@ def lifespan_sweep(params: OperatorParams, p: float, eps_list, grid: Grid,
                            record_t0=1.0, record_ratio=1.3)
         out = run(params, state, ctrl, p=p, eps=e, u0=u0, u1=u1)
         if out.status is not RunStatus.BLEW_UP:
-            records.append(LifespanRecord(e, None, (None, None), grid_tag,
+            records.append(LifespanRecord(e, None, (None, None),
                                           flagged="no blow-up before resolution loss"))
             continue
         band = (out.crossings.get(1e4), out.crossings.get(1e8))
-        records.append(LifespanRecord(e, out.t_final, band, grid_tag))
+        records.append(LifespanRecord(e, out.t_final, band))
 
     usable = [(r.epsilon, r.t_blowup) for r in records if r.t_blowup is not None]
     rep = exponents(params, 0.0, p)

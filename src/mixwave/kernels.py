@@ -15,7 +15,6 @@ A naive complex-exponential path is kept for cross-checking only.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -23,41 +22,9 @@ import numpy as np
 
 from .params import OperatorParams, symbol
 
-# |1 - 4m| band classified as numerically degenerate.
-DEGENERATE_BAND = 1e-6
 # Branch switch for the kernel series happens on w = d*(t/2)^2, the actual
 # argument of the cosh/sinc pair, so the band stays accurate at any t.
 _SERIES_W = 1e-4
-
-
-class Regime(enum.Enum):
-    REAL_DISTINCT = "real_distinct"
-    NEAR_DEGENERATE = "near_degenerate"
-    COMPLEX_PAIR = "complex_pair"
-
-
-@dataclass(frozen=True)
-class CharacteristicRoots:
-    lambda_plus: complex
-    lambda_minus: complex
-    discriminant: float
-    regime: Regime
-
-
-def char_roots(params: OperatorParams, r: float) -> CharacteristicRoots:
-    """Roots of lambda^2 + lambda + m(r) = 0 with regime classification."""
-    m = symbol(params, float(r))
-    d = 1.0 - 4.0 * m
-    sd = np.sqrt(complex(d))
-    lam_p = (-1.0 + sd) / 2.0
-    lam_m = (-1.0 - sd) / 2.0
-    if abs(d) < DEGENERATE_BAND:
-        regime = Regime.NEAR_DEGENERATE
-    elif d > 0:
-        regime = Regime.REAL_DISTINCT
-    else:
-        regime = Regime.COMPLEX_PAIR
-    return CharacteristicRoots(complex(lam_p), complex(lam_m), d, regime)
 
 
 @dataclass(frozen=True)
@@ -213,15 +180,6 @@ def profile_hat(params: OperatorParams, t, r):
     else:
         g = np.exp(-params.a * r**2 * t)
     return g if g.ndim else float(g)
-
-
-def kernel_multiplier(params: OperatorParams, which: str):
-    """Callable (t, r) -> kernel value, convenient for radial quadrature."""
-    idx = {"k0": 0, "k1": 1, "dk0": 2, "dk1": 3}[which]
-    def mult(t, r):
-        kv = kernel_eval(params, t, r)
-        return (kv.k0, kv.k1, kv.dk0, kv.dk1)[idx]
-    return mult
 
 
 # --- Duhamel weights -------------------------------------------------------

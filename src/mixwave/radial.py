@@ -62,7 +62,6 @@ class QuadratureSpec:
     panel_order: int = 32
     r_max: float | None = None
     refinement: float = 2.0
-    tail_decades: float = 18.0
 
     def __post_init__(self):
         if self.panel_order < 8:
@@ -107,6 +106,8 @@ def _adaptive_r_max(integrand_amp: Callable[[np.ndarray], np.ndarray]) -> float:
     return 2.0 * scan[above[-1]]
 
 
+# decades of radius the geometric panels span below r_max
+_TAIL_DECADES = 18.0
 # a Gauss panel of this order resolves roughly this much oscillation phase
 _PHASE_PER_PANEL = 20.0
 
@@ -125,7 +126,7 @@ def _panel_bounds(r_max: float, spec: QuadratureSpec,
                   phase: Callable[[np.ndarray], np.ndarray] | None) -> list[tuple]:
     """(lo, hi) of every sub-panel, largest radii first, ending with the stub
     [0, smallest edge]."""
-    n_panels = int(math.ceil(spec.tail_decades * math.log(10.0) / math.log(spec.refinement)))
+    n_panels = int(math.ceil(_TAIL_DECADES * math.log(10.0) / math.log(spec.refinement)))
     edges = r_max * spec.refinement ** (-np.arange(n_panels + 1, dtype=float))
     bounds = []
     for hi, lo, splits in zip(edges[:-1], edges[1:], _panel_splits(edges, phase)):

@@ -1,4 +1,4 @@
-"""Periodic spatial discretization: transforms, multipliers, dealiasing, norms.
+"""Periodic spatial discretization: transforms, dealiasing, norms, snapshots.
 
 Fields live on [-L, L)^n with n in {1, 2}; spectral storage uses the
 real-to-complex layout with amplitude normalization, so the zero mode is the
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .params import OperatorParams
 
 SNAPSHOT_MAGIC = b"MWSN"
 SNAPSHOT_VERSION = 1
@@ -43,8 +41,8 @@ class Grid:
             raise ValueError(f"dimension n must be 1 or 2, got {self.n}")
         if self.N < 64 or self.N & (self.N - 1):
             raise ValueError(f"N must be a power of two >= 64, got {self.N}")
-        if not self.L > 0:
-            raise ValueError("box half-length L must be positive")
+        if not (self.L > 0 and math.isfinite(self.L)):
+            raise ValueError(f"box half-length L must be positive and finite, got {self.L}")
 
     @property
     def dx(self) -> float:
@@ -168,26 +166,6 @@ class FieldState:
     def physical_u(self) -> np.ndarray:
         return to_physical(self.grid, self.uhat)
 
-    def physical_v(self) -> np.ndarray:
-        return to_physical(self.grid, self.vhat)
-
-
-def apply_multiplier(state_or_hat, m, grid: Grid | None = None):
-    """Multiply spectrally by m(|xi|) (callable on radii or precomputed array)."""
-    if isinstance(state_or_hat, FieldState):
-        g = state_or_hat.grid
-        vals = m(g.radii) if callable(m) else m
-        return FieldState(state_or_hat.uhat * vals, state_or_hat.vhat * vals,
-                          state_or_hat.t, g)
-    vals = m(grid.radii) if callable(m) else m
-    return state_or_hat * vals
-
-
-def apply_operator(params: OperatorParams, grid: Grid, chat: np.ndarray) -> np.ndarray:
-    """Apply the mixed diffusion operator a|xi|^2 + b|xi|^(2 sigma) spectrally."""
-    r = grid.radii
-    return chat * (params.a * r**2 + params.b * r ** (2.0 * params.sigma))
-
 
 def nonlinearity(grid: Grid, uhat: np.ndarray, p: float, t: float = 0.0):
     """Spectral coefficients of |u|^p, dealiased.
@@ -197,16 +175,17 @@ def nonlinearity(grid: Grid, uhat: np.ndarray, p: float, t: float = 0.0):
     """
     if p < 1:
         raise ValueError("nonlinearity power p must be >= 1")
+    # an overflow here is caught by the finiteness test, in this call or the next
     with np.errstate(invalid="ignore", over="ignore"):
         a = to_physical(grid, uhat)
-    np.abs(a, out=a)
-    linf = float(a.max())
-    if not math.isfinite(linf):     # max propagates NaN, so this catches both
-        raise BlowUpDetected(t)
-    a **= p
-    fhat = to_spectral(grid, a)
-    n_mass = grid.volume * fhat.flat[0].real   # zero mode unaffected by dealiasing
-    fhat = fhat * grid.dealias_mask
+        np.abs(a, out=a)
+        linf = float(a.max())
+        if not math.isfinite(linf):     # max propagates NaN, so this catches both
+            raise BlowUpDetected(t)
+        a **= p
+        fhat = to_spectral(grid, a)
+        n_mass = grid.volume * fhat.flat[0].real   # zero mode unaffected by dealiasing
+        fhat = fhat * grid.dealias_mask
     return enforce_symmetry(grid, fhat), linf, float(n_mass)
 
 
@@ -282,6 +261,8 @@ def read_snapshot(path):
         version, n, N, L, t = _SNAPSHOT_HEADER.unpack(header)
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
+        if not math.isfinite(t):
+            raise ValueError(f"snapshot time t must be finite, got {t}")
         grid = Grid(n, N, L)
         data = np.frombuffer(fh.read(), dtype=np.float64)
         expected = N**n

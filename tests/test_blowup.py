@@ -220,12 +220,12 @@ class TestScalingSweep:
         z = np.zeros(grid.N)
         arc = SolutionArchive(grid, P, 1.5, 0.0, z, z, times=[0.0, 1.0, 2.0],
                               fields=[z, z + 1.0, z + 4.0])
-        stacked, spline = _interpolant(arc)
-        assert _interpolant(arc)[1] is spline
+        spline = _interpolant(arc)
+        assert _interpolant(arc) is spline
         arc.times.append(3.0)
         arc.fields.append(z + 9.0)
-        stacked, spline = _interpolant(arc)
-        assert stacked.shape == (4, grid.N)
+        spline = _interpolant(arc)
+        assert spline.x.shape == (4,)
         assert spline(3.0)[0] == pytest.approx(9.0)
 
     def test_targets_arithmetic(self):

@@ -89,6 +89,39 @@ class TestConfigResolution:
             resolve_config(["solve", "--a", "1", "--b", "1", "--sigma", "0.5",
                             "--n", "1", "--threshold", "10"])
 
+    @pytest.mark.parametrize("command, flag, raw, message", [
+        ("lifespan-sweep", "--eps-list", "nan,0.5,5", "out-of-range key 'eps_list'"),
+        ("lifespan-sweep", "--eps-list", "0,0.5", "out-of-range key 'eps_list'"),
+        ("lifespan-sweep", "--eps-list", "0.1,-1", "out-of-range key 'eps_list'"),
+        ("lifespan-sweep", "--eps-list", "0.1,abc", "invalid value for key 'eps_list'"),
+        ("blowup-functional", "--r-list", "nan,2,5", "out-of-range key 'r_list'"),
+        ("blowup-functional", "--r-list", "2,inf", "out-of-range key 'r_list'"),
+        ("blowup-functional", "--r-list", "0,2,5", "out-of-range key 'r_list'"),
+        ("linear-decay", "--s-list", "0,inf", "out-of-range key 's_list'"),
+        ("linear-decay", "--s-list", "0,x", "invalid value for key 's_list'"),
+        ("solve", "--width", "0", "out-of-range key 'width'"),
+        ("solve", "--width", "-1", "out-of-range key 'width'"),
+    ])
+    def test_list_and_width_ranges_exit_2(self, tmp_path, capsys, command, flag, raw,
+                                          message):
+        code = run_cli([command, "--a", "1", "--b", "1", "--sigma", "0.5", "--n", "1",
+                        "--p", "1.5", "--grid-n", "64", "--t-end", "1.0",
+                        f"{flag}={raw}", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("eps", ["1e7", "1e300"])
+    def test_data_over_threshold_exit_2(self, tmp_path, capsys, eps):
+        # data already at the threshold are an input error, not a blow-up at t = 0
+        code = run_cli(["solve", "--a", "1", "--b", "1", "--sigma", "0.5", "--n", "1",
+                        "--p", "2", "--grid-n", "64", "--eps", eps,
+                        "--out", str(tmp_path / "o")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "at or over the blow-up threshold" in captured.err
+        assert "blew_up" not in captured.out
+
 
 class TestCommands:
     def test_exponents_minimal(self, tmp_path, capsys):
@@ -149,9 +182,9 @@ class TestCommands:
 
     def test_lifespan_keeps_zero_blowup_time(self, tmp_path, monkeypatch):
         # a member that blew up at t = 0.0 is a usable record, not a missing one
-        records = [LifespanRecord(0.5, 0.0, (0.0, 0.0), ""),
-                   LifespanRecord(0.25, 3.5, (3.0, 3.5), ""),
-                   LifespanRecord(0.125, None, (None, None), "", flagged="no blow-up")]
+        records = [LifespanRecord(0.5, 0.0, (0.0, 0.0)),
+                   LifespanRecord(0.25, 3.5, (3.0, 3.5)),
+                   LifespanRecord(0.125, None, (None, None), flagged="no blow-up")]
         report = LifespanReport(records, -1.0, -1.0, None, None)
         monkeypatch.setattr(cli, "lifespan_sweep", lambda *args, **kwargs: report)
         out = tmp_path / "l"

@@ -16,7 +16,14 @@ from mixwave.evolve import (
 )
 from mixwave.kernels import kernel_eval
 from mixwave.params import OperatorParams
-from mixwave.torus import FieldState, Grid, enforce_symmetry, nonlinearity, to_spectral
+from mixwave.torus import (
+    FieldState,
+    Grid,
+    enforce_symmetry,
+    nonlinearity,
+    to_physical,
+    to_spectral,
+)
 
 P = OperatorParams(1.0, 1.0, 0.5, 1)
 
@@ -297,3 +304,82 @@ class TestRun:
         assert out.status is RunStatus.COMPLETED
         assert out.mass.initial_mass == pytest.approx(0.1, abs=1e-9)
         assert duhamel_zero_mode_residual(out) < 1e-6
+
+
+class TestRunExits:
+    """One case per way out of the stepping loop: status, t_final, warnings."""
+
+    g = Grid(1, 256, 50.0)        # resolution horizon (L/4)^1 = 12.5
+
+    def _run(self, ctrl, p, eps, t0=0.0):
+        st, u0, u1 = initial_state(self.g, eps=eps)
+        st = FieldState(st.uhat, st.vhat, t0, self.g)
+        return run(P, st, ctrl, p=p, eps=eps, u0=u0, u1=u1)
+
+    @pytest.fixture(scope="class")
+    def band_run(self):
+        return self._run(StepControl(t_end=100.0, track_band=True), 1.5, 1.0)
+
+    def test_completes_at_t_end(self):
+        out = self._run(StepControl(t_end=2.0), 3.0, 0.01)
+        assert out.status is RunStatus.COMPLETED
+        assert out.t_final == 2.0
+        assert out.crossings == {}
+        assert out.diagnostics["warnings"] == []
+
+    def test_crossing_without_band_tracking(self):
+        out = self._run(StepControl(t_end=100.0), 1.5, 1.0)
+        assert out.status is RunStatus.BLEW_UP
+        assert out.t_final == out.crossings[1e6]
+        assert 1e8 not in out.crossings
+        assert out.diagnostics["warnings"] == []
+
+    def test_band_stop_at_1e8(self, band_run):
+        out = band_run
+        assert out.status is RunStatus.BLEW_UP
+        assert out.t_final == out.crossings[1e6] < out.crossings[1e8]
+        assert out.diagnostics["warnings"] == []
+
+    def test_band_tracking_reaches_t_end_after_threshold(self, band_run):
+        c = band_run.crossings
+        t_end = 0.5 * (c[1e6] + c[1e8])
+        out = self._run(StepControl(t_end=t_end, track_band=True), 1.5, 1.0)
+        assert out.status is RunStatus.BLEW_UP
+        assert out.t_final == c[1e6]
+        assert 1e8 not in out.crossings
+        assert out.diagnostics["warnings"] == []
+
+    def test_non_finite_step(self):
+        # |u|^2 overflows at once; the first step is safety / sup|u| long
+        ctrl = StepControl(t_end=1.0, blowup_threshold=1e300)
+        st, _, _ = initial_state(self.g, eps=1e200)
+        h = ctrl.safety / float(np.max(np.abs(to_physical(self.g, st.uhat))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._run(ctrl, 2.0, 1e200)
+        assert out.status is RunStatus.BLEW_UP
+        assert out.t_final == h
+        assert out.diagnostics["steps"] == 0
+        assert out.diagnostics["warnings"] == [f"non-finite values during step at t = {h}"]
+
+    def test_step_size_underflow(self):
+        out = self._run(StepControl(t_end=2e17), 3.0, 0.01, t0=1e17)
+        assert out.status is RunStatus.BLEW_UP
+        assert out.t_final == 1e17
+        assert out.diagnostics["warnings"] == [
+            "step size underflow at t = 1e+17; treating as blow-up",
+            "resolution rule violated: diffusion length exceeds L/4 beyond t = 12.5"]
+
+
+class TestInitialData:
+    def test_non_finite_initial_state_rejected(self, grid):
+        st, u0, u1 = initial_state(grid, eps=0.01)
+        st.uhat[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite initial data"):
+            run(P, st, StepControl(t_end=1.0), p=3.0, eps=0.01, u0=u0, u1=u1)
+
+    @pytest.mark.parametrize("eps, threshold", [(1e7, 1e6), (1e300, 1e6), (1e4, 1e3)])
+    def test_initial_state_at_threshold_rejected(self, grid, eps, threshold):
+        st, u0, u1 = initial_state(grid, eps=eps)
+        ctrl = StepControl(t_end=1.0, blowup_threshold=threshold, track_band=True)
+        with pytest.raises(ValueError, match="at or over the blow-up threshold"):
+            run(P, st, ctrl, p=2.0, eps=eps, u0=u0, u1=u1)

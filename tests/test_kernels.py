@@ -10,10 +10,8 @@ from mixwave.kernels import (
     _PHI1_COEFFS,
     _PHI_SERIES_RADIUS,
     _PSI_COEFFS,
-    Regime,
     _phi1_psi,
     _phi1_psi_series,
-    char_roots,
     duhamel_weights,
     kernel_eval,
     kernel_eval_reference,
@@ -30,45 +28,6 @@ def random_samples(n=10000, seed=0):
     t = 10.0 ** rng.uniform(-2, 3, n)
     r = 10.0 ** rng.uniform(-6, 2, n)
     return t, r
-
-
-class TestCharRoots:
-    def test_zero_frequency(self):
-        cr = char_roots(P, 0.0)
-        assert cr.lambda_plus == 0.0
-        assert cr.lambda_minus == -1.0
-        assert cr.regime is Regime.REAL_DISTINCT
-
-    def test_near_degenerate_at_bisected_root(self):
-        # independent oracle: bisection on 4*(a r^2 + b r^(2 sigma)) = 1
-        r_star = bisect(lambda r: 4.0 * (r * r + r) - 1.0, 0.01, 1.0, xtol=1e-15)
-        assert r_star == pytest.approx((math.sqrt(2.0) - 1.0) / 2.0, abs=1e-12)
-        cr = char_roots(P, r_star)
-        assert cr.regime is Regime.NEAR_DEGENERATE
-        assert cr.lambda_plus == pytest.approx(-0.5, abs=1e-7)
-        assert cr.lambda_minus == pytest.approx(-0.5, abs=1e-7)
-
-    def test_complex_pair(self):
-        # m = 2 at r = 1, discriminant -7
-        cr = char_roots(P, 1.0)
-        assert cr.regime is Regime.COMPLEX_PAIR
-        assert cr.discriminant == pytest.approx(-7.0)
-        assert cr.lambda_plus == pytest.approx(-0.5 + 1j * math.sqrt(7.0) / 2.0)
-        assert cr.lambda_minus == pytest.approx(-0.5 - 1j * math.sqrt(7.0) / 2.0)
-
-    def test_root_sum_and_product(self):
-        rng = np.random.default_rng(1)
-        for r in 10.0 ** rng.uniform(-4, 2, 100):
-            cr = char_roots(P, r)
-            assert cr.lambda_plus + cr.lambda_minus == pytest.approx(-1.0, abs=1e-12)
-            m = symbol(P, r)
-            assert cr.lambda_plus * cr.lambda_minus == pytest.approx(m, rel=1e-10)
-
-    def test_real_regime_roots_negative(self):
-        cr = char_roots(P, 1e-3)
-        assert cr.regime is Regime.REAL_DISTINCT
-        assert cr.lambda_plus.real < 0 and cr.lambda_minus.real < 0
-        assert cr.lambda_plus.imag == 0
 
 
 class TestKernelValues:

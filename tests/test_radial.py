@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma, gammainc
 
-from mixwave.kernels import kernel_eval, kernel_multiplier, profile_hat
+from mixwave.kernels import kernel_eval, profile_hat
 from mixwave.params import OperatorParams
 from mixwave.radial import (
     _PHASE_PER_PANEL,
@@ -71,7 +71,8 @@ def test_incomplete_gamma_oracle(n, s, theta, t):
 def test_velocity_kernel_norm_decay_ratio():
     # 100x in time shrinks the norm ~10x for the half-power rate
     g = gaussian_datum(1)
-    mult = kernel_multiplier(P, "k1")
+    def mult(t, r):
+        return kernel_eval(P, t, r).k1
     n1 = hs_norm(P, mult, g, 0.0, 1e2)
     n2 = hs_norm(P, mult, g, 0.0, 1e4)
     assert n2 / n1 == pytest.approx(0.1, rel=0.05)

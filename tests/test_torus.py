@@ -1,16 +1,18 @@
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
-from mixwave.params import OperatorParams
+from mixwave.params import OperatorParams, symbol
 from mixwave.torus import (
+    SNAPSHOT_MAGIC,
     BlowUpDetected,
     FieldState,
     Grid,
-    apply_multiplier,
-    apply_operator,
     gaussian_field,
     mass,
     nonlinearity,
@@ -31,12 +33,21 @@ def grid():
     return Grid(1, 256, 20.0)
 
 
+def _flip_bits(blob: bytes, bits) -> bytes:
+    out = bytearray(blob)
+    for b in bits:
+        out[b // 8] ^= 1 << (b % 8)
+    return bytes(out)
+
+
 class TestGrid:
     @pytest.mark.parametrize("bad", [
         dict(n=3, N=128, L=10.0),
         dict(n=1, N=100, L=10.0),   # not a power of two
         dict(n=1, N=32, L=10.0),    # too small
         dict(n=1, N=128, L=0.0),
+        dict(n=1, N=128, L=math.inf),
+        dict(n=1, N=128, L=math.nan),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -92,17 +103,10 @@ class TestTransforms:
 
 
 class TestMultipliers:
-    def test_identity_multiplier(self, grid):
-        rng = np.random.default_rng(7)
-        u = rng.standard_normal(grid.N)
-        st = FieldState.from_fields(grid, u, 0 * u)
-        st2 = apply_multiplier(st, lambda r: np.ones_like(r))
-        assert np.array_equal(st2.uhat, st.uhat)
-
     def test_single_mode_eigenvalue(self, grid):
         r1 = math.pi / grid.L
         u = np.cos(math.pi * grid.x / grid.L)
-        lu = to_physical(grid, apply_operator(P, grid, to_spectral(grid, u)))
+        lu = to_physical(grid, to_spectral(grid, u) * symbol(P, grid.radii))
         eig = P.a * r1**2 + P.b * r1 ** (2 * P.sigma)
         assert np.max(np.abs(lu - eig * u)) < 1e-12
 
@@ -110,13 +114,13 @@ class TestMultipliers:
         # a' = a + b with vanishing b reproduces -a' Lap on a sigma > 1 instance
         q = OperatorParams(2.0, 1e-30, 1.5, 1)
         u = np.exp(-grid.x**2)
-        lu = to_physical(grid, apply_operator(q, grid, to_spectral(grid, u)))
+        lu = to_physical(grid, to_spectral(grid, u) * symbol(q, grid.radii))
         exact = -2.0 * (4.0 * grid.x**2 - 2.0) * np.exp(-grid.x**2)
         assert np.max(np.abs(lu - exact)) < 1e-10
 
     def test_operator_image_has_zero_mass(self, grid):
         u = gaussian_field(grid, 1.0, 2.0)
-        chat = apply_operator(P, grid, to_spectral(grid, u))
+        chat = to_spectral(grid, u) * symbol(P, grid.radii)
         st = FieldState(chat, 0 * chat, 0.0, grid)
         assert mass(st) == 0.0
 
@@ -270,6 +274,50 @@ class TestSnapshots:
             path.write_bytes(data[:cut])
             with pytest.raises(ValueError, match="truncated snapshot header"):
                 read_snapshot(path)
+
+    @pytest.mark.parametrize("L, t, message", [
+        (math.inf, 1.0, "box half-length"), (math.nan, 1.0, "box half-length"),
+        (10.0, math.nan, "snapshot time"), (10.0, -math.inf, "snapshot time"),
+    ])
+    def test_non_finite_header_rejected(self, tmp_path, L, t, message):
+        path = tmp_path / "snap.bin"
+        path.write_bytes(SNAPSHOT_MAGIC + struct.pack("<IIIdd", 1, 1, 64, L, t)
+                         + bytes(64 * 8))
+        with pytest.raises(ValueError, match=message):
+            read_snapshot(path)
+
+    @staticmethod
+    def _read_or_value_error(path, blob):
+        """read_snapshot on blob: either ValueError, or a finite header."""
+        path.write_bytes(blob)
+        try:
+            grid, t, u = read_snapshot(path)
+        except ValueError:
+            return
+        assert math.isfinite(grid.L) and math.isfinite(t)
+        assert u.shape == (grid.N,) * grid.n
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=hst.data())
+    def test_malformed_bytes_raise_only_value_error(self, tmp_path, data):
+        path = tmp_path / "snap.bin"
+        write_snapshot(path, Grid(1, 64, 10.0), 2.5, np.linspace(-1.0, 1.0, 64))
+        valid = path.read_bytes()
+        blob = data.draw(hst.one_of(
+            hst.binary(max_size=600),
+            hst.binary(max_size=600).map(lambda b: valid[:8] + b),
+            hst.integers(0, len(valid) - 1).map(lambda k: valid[:k]),
+            hst.lists(hst.integers(0, 8 * len(valid) - 1), min_size=1, max_size=4).map(
+                lambda bits: _flip_bits(valid, bits))))
+        self._read_or_value_error(path, blob)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=hst.sampled_from([1, 2]), L=hst.floats(), t=hst.floats())
+    def test_random_header_fields_raise_only_value_error(self, tmp_path, n, L, t):
+        header = SNAPSHOT_MAGIC + struct.pack("<IIIdd", 1, n, 64, L, t)
+        self._read_or_value_error(tmp_path / "snap.bin", header + bytes(64 * 8))
 
     def test_slice_csv(self, grid, tmp_path):
         path = tmp_path / "slice.csv"
