@@ -49,7 +49,6 @@ class Eta:
     """
 
     q: int
-    p: float
     condition_constant: float
 
     def __call__(self, t):
@@ -99,11 +98,11 @@ def make_eta(p: float) -> Eta:
         raise ValueError("p must exceed 1")
     pp = p / (p - 1.0)
     q = int(math.ceil(2.0 * pp))
-    probe = Eta(q=q, p=p, condition_constant=float("nan"))
+    probe = Eta(q=q, condition_constant=float("nan"))
     c = eta_condition_value(probe, p)
     if not math.isfinite(c):
         raise ValueError(f"cutoff configuration q={q} has unbounded condition value")
-    return Eta(q=q, p=p, condition_constant=c)
+    return Eta(q=q, condition_constant=c)
 
 
 # --- spatial weight ---------------------------------------------------------
@@ -132,13 +131,6 @@ class SpatialWeight:
         q = 1.0 + np.asarray(x_sq, float)
         b = self.beta
         return q ** (-b / 2.0 - 2.0) * (-b * self.n * q + b * (b + 2.0) * x_sq)
-
-
-def _radius_sq(grid: Grid, scale: float = 1.0) -> np.ndarray:
-    x = grid.x / scale
-    if grid.n == 1:
-        return x**2
-    return x[:, None] ** 2 + x[None, :] ** 2
 
 
 @dataclass(frozen=True)
@@ -171,7 +163,7 @@ def frac_lap_phi(sigma: float, sigma0: float, L_eval: float,
             "increase L_eval")
     N = 1 << int(math.ceil(math.log2(max(64, 2 * L_big * points_per_unit))))
     grid = Grid(1, N, L_big)
-    phi = w(_radius_sq(grid))
+    phi = w(grid.radius_sq())
     chat = to_spectral(grid, phi)
     field = to_physical(grid, chat * grid.radii ** (2.0 * sigma))
     inner = np.abs(grid.x) <= 0.5 * L_eval
@@ -211,7 +203,7 @@ def _weight_fields(archive: SolutionArchive, tf: TestFunctions):
     params = archive.params
     scale = tf.K * tf.R
     w = SpatialWeight(grid.n, tf.sigma0)
-    x_sq = _radius_sq(grid, scale)
+    x_sq = grid.radius_sq(scale)
     phi_r = w(x_sq)
     lap_phi = w.laplacian(x_sq) / scale**2
     frac = to_physical(grid, to_spectral(grid, phi_r) * grid.radii ** (2.0 * params.sigma))

@@ -93,9 +93,12 @@ def _parse_value(key: str, raw: str):
 def read_config_file(path: str) -> dict:
     values = {}
     try:
-        lines = open(path).read().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not UTF-8 text: {exc}") from exc
     for lineno, line in enumerate(lines, 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

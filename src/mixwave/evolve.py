@@ -298,8 +298,11 @@ def run(params: OperatorParams, state: FieldState, ctrl: StepControl, p: float, 
 
         h = min(ctrl.dt_max, ctrl.t_end - t)
         if not linear_only and linf > 0.0:
-            denom = linf ** (p - 1.0)
-            if denom > 0.0 and math.isfinite(denom):
+            try:
+                denom = linf ** (p - 1.0)
+            except OverflowError:   # float ** raises where numpy returns inf
+                denom = math.inf    # a zero step: the underflow exit below
+            if denom > 0.0:
                 h = min(h, ctrl.safety / denom)
         if t + h == t:
             # the adaptive step underflowed the clock: an unresolved divergence

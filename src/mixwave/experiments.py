@@ -20,7 +20,7 @@ from .evolve import (
 from .kernels import kernel_eval, profile_hat
 from .params import OperatorParams, exponents, theorem_hypotheses
 from .radial import PowerLawFit, fit_power_law, gaussian_datum, hs_norm
-from .torus import Grid, spectral_norm
+from .torus import Grid, spectral_norm, to_spectral
 
 
 def _solution_multiplier(params: OperatorParams):
@@ -45,7 +45,6 @@ class SlopeFit:
 
 @dataclass
 class DecayReport:
-    mode: str
     fits: list[SlopeFit]
     series: dict[float, list[tuple[float, float]]]
     outcome: RunOutcome | None = None
@@ -107,7 +106,7 @@ def decay_experiment(params: OperatorParams, s_list=(0.0, None), mode: str = "ra
             fits.append(SlopeFit(s, fit.slope, target, fit.max_residual, (lo, hi)))
     else:
         raise ValueError(f"unknown decay mode {mode!r}")
-    return DecayReport(mode, fits, series, outcome)
+    return DecayReport(fits, series, outcome)
 
 
 @dataclass
@@ -169,7 +168,7 @@ def profile_experiment(params: OperatorParams, p: float, eps: float, horizon: fl
     for t, u_phys in zip(arc.times, arc.fields):
         if t <= 0:
             continue
-        chat = np.fft.rfftn(u_phys) / g.N**g.n
+        chat = to_spectral(g, u_phys)
         # point mass at the origin carries the grid's (-1)^k phase
         ghat = profile_hat(params, t, g.radii) * g.origin_phase / g.volume
         err = spectral_norm(g, chat - theta * ghat, s)

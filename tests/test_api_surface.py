@@ -1,12 +1,13 @@
 """API-surface guard: src/mixwave exports only what the package or the
 benchmark uses.
 
-Every top-level public name (function, class or constant) that a module of
-src/mixwave other than __init__ defines must be referenced somewhere else:
-in another top-level statement of src/mixwave (not counting __init__) or
-anywhere under perfbench/.  A reference is a name, an attribute, an imported
-name, or a string equal to the name (perfbench/layers.py wraps layer functions
-by their names).  Code only the tests use belongs in tests/.
+The package namespace is empty: __init__ binds no name, and callers import
+the submodules.  Every top-level public name (function, class or constant)
+that a module of src/mixwave other than __init__ defines must be referenced
+somewhere else: in another top-level statement of src/mixwave (not counting
+__init__) or anywhere under perfbench/.  A reference is a name, an attribute,
+an imported name, or a string equal to the name (perfbench/layers.py wraps
+layer functions by their names).  Code only the tests use belongs in tests/.
 """
 import ast
 from pathlib import Path
@@ -62,5 +63,22 @@ def unreferenced_public_names():
     return sorted(missing)
 
 
+def package_bound_names():
+    """Names that __init__ binds: imports, assignment targets, defs, classes."""
+    bound = []
+    for node in ast.walk(ast.parse((PACKAGE / "__init__.py").read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.append(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+    return bound
+
+
 def test_every_public_name_is_used_outside_the_tests():
     assert unreferenced_public_names() == []
+
+
+def test_package_namespace_is_empty():
+    assert package_bound_names() == []

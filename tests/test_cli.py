@@ -2,6 +2,8 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
 from mixwave import cli
 from mixwave.cli import ConfigError, main, read_config_file, resolve_config
@@ -33,6 +35,14 @@ class TestConfigResolution:
         path.write_text("command = exponents\nwhatever = 3\n")
         with pytest.raises(ConfigError, match="unknown key 'whatever'"):
             read_config_file(str(path))
+
+    def test_non_utf8_config_file_named(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"command = exponents\na = 1\xff\n")
+        with pytest.raises(ConfigError, match="run.cfg: config file is not UTF-8"):
+            read_config_file(str(path))
+        assert run_cli(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "run.cfg" in capsys.readouterr().err
 
     def test_missing_b_named(self):
         with pytest.raises(ConfigError, match="missing required key 'b'"):
@@ -121,6 +131,55 @@ class TestConfigResolution:
         captured = capsys.readouterr()
         assert "at or over the blow-up threshold" in captured.err
         assert "blew_up" not in captured.out
+
+
+_VALUE_KEYS = [k for k, (typ, _, _) in cli.CONFIG_KEYS.items()
+               if k != "command" and typ is not bool]
+_BOOL_KEYS = [k for k, (typ, _, _) in cli.CONFIG_KEYS.items() if typ is bool]
+_RAW_VALUES = hst.one_of(
+    hst.text(max_size=20),
+    hst.floats().map(repr),
+    hst.integers().map(str),
+    hst.sampled_from(["nan", "-inf", "1e999", "0", "-1", "1", "0.5", "1,2", ",",
+                      "0.5,abc", "true", "off", "exponents"]))
+_CONFIG_BYTES = hst.one_of(
+    hst.binary(max_size=300),
+    hst.lists(hst.tuples(hst.sampled_from([*cli.CONFIG_KEYS, "bogus"]), _RAW_VALUES),
+              max_size=12).map(
+        lambda kv: "\n".join(f"{k} = {v}" for k, v in kv).encode("utf-8", "replace")))
+
+
+class TestResolveConfigProperties:
+    """Random flag values and config-file bytes end in a ConfigError or in
+    argparse's usage error, never in another exception."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=hst.data())
+    def test_random_input_raises_only_config_errors(self, tmp_path, data):
+        argv = []
+        command = data.draw(hst.one_of(
+            hst.none(), hst.sampled_from(cli.COMMANDS),
+            hst.text(max_size=12).filter(lambda s: not s.startswith("-"))))
+        if command is not None:
+            argv.append(command)
+        for key in _VALUE_KEYS:
+            raw = data.draw(hst.one_of(hst.none(), _RAW_VALUES), label=key)
+            if raw is not None:
+                argv.append(f"--{key.replace('_', '-')}={raw}")
+        for key in _BOOL_KEYS:
+            if data.draw(hst.booleans(), label=key):
+                argv.append(f"--{key.replace('_', '-')}")
+        if data.draw(hst.booleans(), label="config file"):
+            path = tmp_path / "run.cfg"
+            path.write_bytes(data.draw(_CONFIG_BYTES, label="config bytes"))
+            argv.append(f"--config={path}")
+        try:
+            resolve_config(argv)
+        except ConfigError:
+            pass
+        except SystemExit as exc:
+            assert exc.code == 2
 
 
 class TestCommands:

@@ -369,6 +369,16 @@ class TestRunExits:
             "step size underflow at t = 1e+17; treating as blow-up",
             "resolution rule violated: diffusion length exceeds L/4 beyond t = 12.5"]
 
+    def test_step_size_denominator_overflow(self):
+        # sup|u| is about 8, far below the threshold, but 8^399 overflows a float:
+        # the blow-up time, about 8^-399/399, is below the smallest double
+        out = self._run(StepControl(t_end=1.0), 400.0, 20.0)
+        assert out.status is RunStatus.BLEW_UP
+        assert out.t_final == 0.0
+        assert out.diagnostics["steps"] == 0
+        assert out.diagnostics["warnings"] == [
+            "step size underflow at t = 0.0; treating as blow-up"]
+
 
 class TestInitialData:
     def test_non_finite_initial_state_rejected(self, grid):

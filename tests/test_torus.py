@@ -325,3 +325,78 @@ class TestSnapshots:
         lines = path.read_text().splitlines()
         assert lines[1] == "x,u"
         assert len(lines) == grid.N + 2
+
+    def test_slice_csv_2d_is_the_y0_row(self, tmp_path):
+        g = Grid(2, 64, 10.0)
+        u = np.arange(g.N * g.N, dtype=float).reshape(g.N, g.N) / 7.0
+        path = tmp_path / "slice.csv"
+        write_slice_csv(path, g, 0.5, u)
+        lines = path.read_text().splitlines()
+        row = u[:, g.N // 2]      # y = x[N/2] = 0
+        assert lines == ["# t = 0.5", "x,u"] + [f"{xv!r},{uv!r}" for xv, uv in zip(g.x, row)]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+class TestGeometryMatchesPerDimensionFormulas:
+    """The dimension-generic Grid geometry against the explicit 1-D and 2-D
+    formulas it replaced, bit for bit."""
+
+    @staticmethod
+    def _oracle(g: Grid):
+        full = np.fft.fftfreq(g.N, d=1.0 / g.N)
+        half = np.arange(g.N // 2 + 1, dtype=float)
+        keep = g.N // 3
+        if g.n == 1:
+            shape = (g.N // 2 + 1,)
+            radii = half * (math.pi / g.L)
+            weights = np.full(shape, 2.0)
+            weights[0] = 1.0
+            weights[-1] = 1.0
+            mask = np.abs(half) <= keep
+            phase = (-1.0) ** half
+        else:
+            shape = (g.N, g.N // 2 + 1)
+            radii = np.hypot(full[:, None], half[None, :]) * (math.pi / g.L)
+            weights = np.full(shape, 2.0)
+            weights[:, 0] = 1.0
+            weights[:, -1] = 1.0
+            mask = (np.abs(full[:, None]) <= keep) & (np.abs(half[None, :]) <= keep)
+            phase = (-1.0) ** full[:, None] * (-1.0) ** half[None, :]
+        return shape, radii, weights, mask, phase
+
+    @staticmethod
+    def _radius_sq_oracle(g: Grid, scale: float):
+        x = g.x / scale
+        if g.n == 1:
+            return x**2
+        return x[:, None] ** 2 + x[None, :] ** 2
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("N", [64, 256])
+    def test_spectral_geometry(self, n, N):
+        g = Grid(n, N, 37.5)
+        shape, radii, weights, mask, phase = self._oracle(g)
+        assert g.spectral_shape == shape
+        _same_bits(g.radii, radii)
+        _same_bits(g.conjugate_weights, weights)
+        _same_bits(g.dealias_mask, mask)
+        _same_bits(g.origin_phase, phase)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("N", [64, 256])
+    @pytest.mark.parametrize("scale", [1.0, 0.3, 3.0, 12.5])
+    def test_radius_sq(self, n, N, scale):
+        g = Grid(n, N, 37.5)
+        _same_bits(g.radius_sq(scale), self._radius_sq_oracle(g, scale))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_gaussian_field(self, n):
+        g = Grid(n, 64, 10.0)
+        q = self._radius_sq_oracle(g, 1.0)
+        want = 0.5 * (2.0 * math.pi * 1.3**2) ** (-n / 2.0) * np.exp(-q / (2.0 * 1.3**2))
+        _same_bits(gaussian_field(g, 1.3, 0.5), want)
