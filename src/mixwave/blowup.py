@@ -15,7 +15,7 @@ from scipy.interpolate import CubicSpline
 
 from .evolve import SolutionArchive
 from .params import OperatorParams
-from .radial import fit_power_law
+from .radial import power_law_slope
 from .torus import Grid, to_physical, to_spectral
 
 
@@ -136,8 +136,6 @@ class SpatialWeight:
 @dataclass(frozen=True)
 class FracLapReport:
     ratio_sup: float          # sup over inner half-domain of |(-Lap)^sigma phi| / phi
-    L: float
-    N: int
     field_inner: np.ndarray   # (-Lap)^sigma phi on the inner window
     x_inner: np.ndarray
 
@@ -168,7 +166,7 @@ def frac_lap_phi(sigma: float, sigma0: float, L_eval: float,
     field = to_physical(grid, chat * grid.radii ** (2.0 * sigma))
     inner = np.abs(grid.x) <= 0.5 * L_eval
     ratio = np.abs(field[inner]) / phi[inner]
-    return FracLapReport(float(ratio.max()), L_big, N, field[inner], grid.x[inner])
+    return FracLapReport(float(ratio.max()), field[inner], grid.x[inner])
 
 
 # --- space-time functionals ---------------------------------------------------
@@ -302,7 +300,7 @@ def scaling_targets(params: OperatorParams, p: float) -> dict[str, float]:
 
 
 def scaling_sweep(archive: SolutionArchive, eta: Eta, R_list, p: float,
-                  sigma0: float | None = None, K: float = 1.0) -> ScalingReport:
+                  K: float = 1.0) -> ScalingReport:
     """Fit log|J_i| - (1/p) log(J~ or J) against log R and compare to targets.
 
     Terms normalized by the restricted functional (time-derivative terms) use
@@ -314,8 +312,7 @@ def scaling_sweep(archive: SolutionArchive, eta: Eta, R_list, p: float,
     if R[-1] / R[0] < math.sqrt(10.0) * (1 - 1e-9):
         raise ValueError("R_list must span at least half a decade")
     params = archive.params
-    if sigma0 is None:
-        sigma0 = default_sigma0(params.sigma)
+    sigma0 = default_sigma0(params.sigma)
 
     reports = []
     for r in R:
@@ -337,11 +334,7 @@ def scaling_sweep(archive: SolutionArchive, eta: Eta, R_list, p: float,
         series["j2"].append((r, abs(j2) / rep.j_r ** (1.0 / p)))
         series["j3"].append((r, abs(j3) / rep.j_r ** (1.0 / p)))
     for name, pts in series.items():
-        if len(pts) >= 5:
-            exponents[name] = fit_power_law(pts).slope
-        else:
-            lo, hi = pts[0], pts[-1]
-            exponents[name] = math.log(hi[1] / lo[1]) / math.log(hi[0] / lo[0])
+        exponents[name] = power_law_slope(pts)
 
     targets = scaling_targets(params, p)
     pp = p / (p - 1.0)

@@ -19,7 +19,7 @@ from .evolve import (
 )
 from .kernels import kernel_eval, profile_hat
 from .params import OperatorParams, exponents, theorem_hypotheses
-from .radial import PowerLawFit, fit_power_law, gaussian_datum, hs_norm
+from .radial import PowerLawFit, fit_power_law, gaussian_datum, hs_norm, power_law_slope
 from .torus import Grid, spectral_norm, to_spectral
 
 
@@ -35,7 +35,6 @@ class SlopeFit:
     s: float
     slope: float
     target: float
-    max_residual: float
     window: tuple[float, float]
 
     @property
@@ -47,7 +46,6 @@ class SlopeFit:
 class DecayReport:
     fits: list[SlopeFit]
     series: dict[float, list[tuple[float, float]]]
-    outcome: RunOutcome | None = None
 
 
 class ExperimentInvalid(RuntimeError):
@@ -56,64 +54,33 @@ class ExperimentInvalid(RuntimeError):
 
 def decay_experiment(params: OperatorParams, s_list=(0.0, None), mode: str = "radial",
                      t_window: tuple[float, float] = (1e2, 1e4), n_samples: int = 21,
-                     datum_width: float = 1.0,
-                     grid: Grid | None = None, ctrl: StepControl | None = None,
-                     p: float = 3.0, eps: float = 0.01) -> DecayReport:
+                     datum_width: float = 1.0) -> DecayReport:
     """Fit Sobolev-norm decay slopes against (n+2s)/(4 sigma_min).
 
-    mode "radial" evaluates the linear solution by radial quadrature on the
-    given window; mode "solver" runs the semilinear solver and fits on the
-    latest decade of recorded times satisfying the resolution rule.
+    Evaluates the linear solution by radial quadrature on the given window.
+    mode must be "radial", the only route (the benchmark still names it); the
+    solver-side decay fit is profile_experiment's l2_fit.
     """
+    if mode != "radial":
+        raise ValueError(f"unknown decay mode {mode!r}")
     s_vals = [params.sigma_min if s is None else float(s) for s in s_list]
     fits: list[SlopeFit] = []
     series: dict[float, list[tuple[float, float]]] = {}
-    outcome = None
-
-    if mode == "radial":
-        datum = gaussian_datum(params.n, width=datum_width)
-        mult = _solution_multiplier(params)
-        ts = np.geomspace(t_window[0], t_window[1], n_samples)
-        for s in s_vals:
-            pts = [(float(t), hs_norm(params, mult, datum, s, float(t))) for t in ts]
-            series[s] = pts
-            fit = fit_power_law(pts)
-            target = -(params.n + 2.0 * s) / (4.0 * params.sigma_min)
-            fits.append(SlopeFit(s, fit.slope, target, fit.max_residual, t_window))
-    elif mode == "solver":
-        if grid is None or ctrl is None:
-            raise ValueError("solver mode needs a grid and step control")
-        state, u0, u1 = initial_state(grid, eps=eps, width=datum_width)
-        outcome = run(params, state, ctrl, p=p, eps=eps, u0=u0, u1=u1)
-        if outcome.status is not RunStatus.COMPLETED:
-            raise ExperimentInvalid(
-                f"run blew up at t = {outcome.t_final}; no decay window")
-        horizon = min(resolution_horizon(params, grid.L), ctrl.t_end)
-        lo, hi = horizon / 10.0, horizon
-        ts = np.asarray(outcome.series.t)
-        for s, col in ((0.0, outcome.series.l2), (params.sigma_min, outcome.series.hs)):
-            if s not in s_vals:
-                continue
-            sel = (ts >= lo) & (ts <= hi)
-            if sel.sum() < 5:
-                raise ExperimentInvalid(
-                    f"only {int(sel.sum())} recorded times inside the valid window "
-                    f"[{lo:.3g}, {hi:.3g}]")
-            pts = list(zip(ts[sel].tolist(), np.asarray(col)[sel].tolist()))
-            series[s] = pts
-            fit = fit_power_law(pts)
-            target = -(params.n + 2.0 * s) / (4.0 * params.sigma_min)
-            fits.append(SlopeFit(s, fit.slope, target, fit.max_residual, (lo, hi)))
-    else:
-        raise ValueError(f"unknown decay mode {mode!r}")
-    return DecayReport(fits, series, outcome)
+    datum = gaussian_datum(params.n, width=datum_width)
+    mult = _solution_multiplier(params)
+    ts = np.geomspace(t_window[0], t_window[1], n_samples)
+    for s in s_vals:
+        pts = [(float(t), hs_norm(params, mult, datum, s, float(t))) for t in ts]
+        series[s] = pts
+        target = -(params.n + 2.0 * s) / (4.0 * params.sigma_min)
+        fits.append(SlopeFit(s, fit_power_law(pts).slope, target, t_window))
+    return DecayReport(fits, series)
 
 
 @dataclass
 class ProfileReport:
     """Scaled distance to the mass-weighted diffusion profile over time."""
 
-    s: float
     times: list[float]
     scaled_error: list[float]
     theta: float
@@ -126,7 +93,7 @@ class ProfileReport:
 
 
 def profile_experiment(params: OperatorParams, p: float, eps: float, horizon: float,
-                       grid: Grid, s: float = 0.0, dt_max: float = 0.05,
+                       grid: Grid, dt_max: float = 0.05,
                        datum_width: float = 1.0, linear_only: bool = False,
                        record_ratio: float = 1.08) -> ProfileReport:
     """Evolve the semilinear problem and compare with theta * profile.
@@ -161,7 +128,7 @@ def profile_experiment(params: OperatorParams, p: float, eps: float, horizon: fl
 
     times: list[float] = []
     scaled: list[float] = []
-    decay = (params.n + 2.0 * s) / (4.0 * params.sigma_min)
+    decay = params.n / (4.0 * params.sigma_min)
     arc = outcome.archive
     g = grid
     ratio = float("nan")
@@ -171,12 +138,12 @@ def profile_experiment(params: OperatorParams, p: float, eps: float, horizon: fl
         chat = to_spectral(g, u_phys)
         # point mass at the origin carries the grid's (-1)^k phase
         ghat = profile_hat(params, t, g.radii) * g.origin_phase / g.volume
-        err = spectral_norm(g, chat - theta * ghat, s)
+        err = spectral_norm(g, chat - theta * ghat, 0.0)
         times.append(t)
         scaled.append(t**decay * err)
         if t == arc.times[-1]:
-            un = spectral_norm(g, chat, s)
-            gn = spectral_norm(g, ghat, s)
+            un = spectral_norm(g, chat, 0.0)
+            gn = spectral_norm(g, ghat, 0.0)
             ratio = un / (theta * gn) if theta * gn != 0 else float("nan")
 
     extra = None
@@ -192,10 +159,10 @@ def profile_experiment(params: OperatorParams, p: float, eps: float, horizon: fl
     if sel.sum() >= 5:
         f = fit_power_law(list(zip(ts[sel], np.asarray(outcome.series.l2)[sel])))
         l2_fit = SlopeFit(0.0, f.slope, -params.n / (4.0 * params.sigma_min),
-                          f.max_residual, (horizon_valid / 10.0, horizon_valid))
+                          (horizon_valid / 10.0, horizon_valid))
 
     return ProfileReport(
-        s=s, times=times, scaled_error=scaled, theta=theta, tail_correction=tail,
+        times=times, scaled_error=scaled, theta=theta, tail_correction=tail,
         ratio=ratio, extra_decay=extra, outcome=outcome,
         duhamel_residual=duhamel_zero_mode_residual(outcome) if not linear_only else None,
         l2_fit=l2_fit)
@@ -270,11 +237,5 @@ def lifespan_sweep(params: OperatorParams, p: float, eps_list, grid: Grid,
                               theorem_hypotheses(params, p))
     if len(usable) < 2:
         raise ExperimentInvalid("fewer than two usable blow-up records")
-    fit = fit_power_law(usable) if len(usable) >= 5 else None
-    if fit is None:
-        lo, hi = usable[0], usable[-1]
-        slope = math.log(hi[1] / lo[1]) / math.log(hi[0] / lo[0])
-    else:
-        slope = fit.slope
-    return LifespanReport(records, slope, rep.lifespan_exp, None, None,
+    return LifespanReport(records, power_law_slope(usable), rep.lifespan_exp, None, None,
                           theorem_hypotheses(params, p))

@@ -143,27 +143,6 @@ def kernel_eval(params: OperatorParams, t, r) -> KernelValues:
     return KernelValues(k0, k1, dk0, dk1)
 
 
-def kernel_eval_reference(params: OperatorParams, t, r) -> KernelValues:
-    """Naive complex-exponential evaluation, for cross-checking only.
-
-    Loses all accuracy near the degenerate discriminant; do not use on the
-    computation path.
-    """
-    t = np.asarray(t, float)
-    r = np.asarray(r, float)
-    m = np.asarray(symbol(params, r), complex)
-    sd = np.sqrt(1.0 - 4.0 * m)
-    lam_p = 0.5 * (-1.0 + sd)
-    lam_m = 0.5 * (-1.0 - sd)
-    ep = np.exp(lam_p * t)
-    em = np.exp(lam_m * t)
-    k0 = (lam_p * em - lam_m * ep) / sd
-    k1 = (ep - em) / sd
-    dk0 = lam_p * lam_m * (em - ep) / sd
-    dk1 = (lam_p * ep - lam_m * em) / sd
-    return KernelValues(k0.real, k1.real, dk0.real, dk1.real)
-
-
 def profile_hat(params: OperatorParams, t, r):
     """Fourier multiplier of the dominant diffusion profile.
 

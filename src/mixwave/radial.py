@@ -36,7 +36,6 @@ class RadialDatum:
 
     profile: Callable[[np.ndarray], np.ndarray]
     l1_mass: float
-    label: str = ""
 
 
 def gaussian_datum(n: int, width: float = 1.0, mass: float = 1.0) -> RadialDatum:
@@ -47,7 +46,7 @@ def gaussian_datum(n: int, width: float = 1.0, mass: float = 1.0) -> RadialDatum
         r = np.asarray(r, float)
         return mass * (2.0 * math.pi) ** (-n / 2.0) * np.exp(-0.5 * w2 * r**2)
 
-    return RadialDatum(profile, mass, label=f"gaussian(width={width}, mass={mass})")
+    return RadialDatum(profile, mass)
 
 
 @dataclass(frozen=True)
@@ -183,14 +182,12 @@ def kernel_phase(params: OperatorParams, t: float):
 
 
 def hs_norm(params: OperatorParams, multiplier: Callable, datum: RadialDatum,
-            s: float, t: float, spec: QuadratureSpec = DEFAULT_QUADRATURE,
-            oscillatory: bool = True) -> float:
+            s: float, t: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Hs norm of the field whose transform is multiplier(t, r) * profile(r).
 
     Returns (omega_{n-1} * int r^(2s+n-1) |multiplier * profile|^2 dr)^(1/2);
-    deterministic for a fixed QuadratureSpec.  oscillatory=True subdivides
-    panels for the trigonometric kernel regime (harmless for smooth
-    multipliers).
+    deterministic for a fixed QuadratureSpec.  Panels are subdivided for the
+    trigonometric kernel regime (harmless for smooth multipliers).
     """
     if s < 0 or t < 0:
         raise ValueError("s and t must be nonnegative")
@@ -202,13 +199,12 @@ def hs_norm(params: OperatorParams, multiplier: Callable, datum: RadialDatum,
     def f(r):
         return r ** (2.0 * s + n - 1.0) * product(r) ** 2
 
-    phase = kernel_phase(params, t) if oscillatory else None
-    val = radial_integral(f, spec, amplitude=product, phase=phase)
+    val = radial_integral(f, spec, amplitude=product, phase=kernel_phase(params, t))
     return math.sqrt(surface_area(n) * max(val, 0.0))
 
 
 def profile_error(params: OperatorParams, datum0: RadialDatum, datum1: RadialDatum,
-                  s: float, t: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+                  s: float, t: float) -> float:
     """Hs distance between the linear solution and the mass-scaled profile.
 
     The integrand is the single multiplier K0*f0 + K1*f1 - (2pi)^(-n/2) * P * ghat,
@@ -239,7 +235,7 @@ def profile_error(params: OperatorParams, datum0: RadialDatum, datum1: RadialDat
                 + np.abs(np.asarray(kv.k1, float) * datum1.profile(r))
                 + abs(const) * np.asarray(g, float))
 
-    val = radial_integral(f, spec, amplitude=amp, phase=kernel_phase(params, t))
+    val = radial_integral(f, amplitude=amp, phase=kernel_phase(params, t))
     return math.sqrt(surface_area(n) * max(val, 0.0))
 
 
@@ -268,3 +264,12 @@ def fit_power_law(series) -> PowerLawFit:
     slope, intercept = np.polyfit(lt, lv, 1)
     resid = lv - (slope * lt + intercept)
     return PowerLawFit(float(slope), float(intercept), float(np.abs(resid).max()))
+
+
+def power_law_slope(series) -> float:
+    """Slope of log(value) against log(t): fit_power_law's with at least 5
+    samples, otherwise the two-point slope between the first and last."""
+    if len(series) >= 5:
+        return fit_power_law(series).slope
+    (t0, v0), (t1, v1) = series[0], series[-1]
+    return math.log(v1 / v0) / math.log(t1 / t0)

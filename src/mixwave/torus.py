@@ -147,8 +147,9 @@ class FieldState:
     grid: Grid
 
     @classmethod
-    def from_fields(cls, grid: Grid, u: np.ndarray, v: np.ndarray, t: float = 0.0):
-        return cls(to_spectral(grid, u), to_spectral(grid, v), t, grid)
+    def from_fields(cls, grid: Grid, u: np.ndarray, v: np.ndarray):
+        """State at t = 0 from the physical fields u and u_t."""
+        return cls(to_spectral(grid, u), to_spectral(grid, v), 0.0, grid)
 
     def copy(self) -> "FieldState":
         return FieldState(self.uhat.copy(), self.vhat.copy(), self.t, self.grid)
@@ -262,5 +263,5 @@ def write_slice_csv(path, grid: Grid, t: float, u: np.ndarray) -> None:
     with open(path, "w") as fh:
         fh.write(f"# t = {t!r}\n")
         fh.write("x,u\n")
-        for xv, uv in zip(grid.x, line):
+        for xv, uv in zip(grid.x.tolist(), line.tolist()):
             fh.write(f"{xv!r},{uv!r}\n")

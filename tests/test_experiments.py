@@ -1,9 +1,5 @@
-import math
-
-import numpy as np
 import pytest
 
-from mixwave.evolve import StepControl
 from mixwave.experiments import (
     ExperimentInvalid,
     decay_experiment,
@@ -33,35 +29,28 @@ class TestDecayExperiment:
         assert rep.fits[0].target == -0.25
         assert rep.fits[0].deviation <= 0.03
 
-    def test_solver_mode_and_cross_module_agreement(self):
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError):
+            decay_experiment(P, mode="magic")
+
+
+class TestProfileExperiment:
+    def test_l2_fit_agrees_with_radial_decay_fit(self):
         grid = Grid(1, 1024, 100.0)
-        ctrl = StepControl(t_end=30.0, record_t0=0.05, record_ratio=1.1)
-        rep = decay_experiment(P, s_list=(0.0,), mode="solver", grid=grid,
-                               ctrl=ctrl, p=3.0, eps=0.01)
-        f = rep.fits[0]
-        assert rep.outcome is not None
+        f = profile_experiment(P, p=3.0, eps=0.01, horizon=30.0, grid=grid).l2_fit
+        # the latest decade below the resolution horizon L^(2 sigma) / (4^(2 sigma) b)
+        assert f.window == (2.5, 25.0)
+        assert f.target == -0.5
         # radial fit over the same window agrees within 0.05
         rad = decay_experiment(P, s_list=(0.0,), mode="radial",
                                t_window=f.window, n_samples=11)
         assert abs(rad.fits[0].slope - f.slope) <= 0.05
 
-    def test_solver_mode_needs_grid(self):
-        with pytest.raises(ValueError):
-            decay_experiment(P, mode="solver")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            decay_experiment(P, mode="magic")
-
     def test_blowup_scenario_invalid(self):
         grid = Grid(1, 256, 30.0)
-        ctrl = StepControl(t_end=50.0)
         with pytest.raises(ExperimentInvalid):
-            decay_experiment(P, s_list=(0.0,), mode="solver", grid=grid,
-                             ctrl=ctrl, p=1.5, eps=1.0)
+            profile_experiment(P, p=1.5, eps=1.0, horizon=50.0, grid=grid)
 
-
-class TestProfileExperiment:
     def test_zero_amplitude_trivial(self):
         grid = Grid(1, 512, 50.0)
         rep = profile_experiment(P, p=3.0, eps=0.0, horizon=5.0, grid=grid)
@@ -148,15 +137,13 @@ class TestLifespanSweep:
 
 
 def test_fit_stability_under_grid_and_step_refinement():
-    # linear propagation is exact in time, so slope shifts come only from
-    # spatial resolution; both refinements must stay within 1%
-    base = dict(s_list=(0.0,), mode="solver", p=3.0, eps=0.01)
+    # the profile run's L2 decay fit moves by under 1% when N doubles or
+    # dt_max halves
     slope = {}
     for tag, (N, dt) in {"base": (1024, 0.05), "fine_N": (2048, 0.05),
                          "fine_dt": (1024, 0.025)}.items():
-        grid = Grid(1, N, 100.0)
-        ctrl = StepControl(t_end=25.0, dt_max=dt, record_t0=0.05, record_ratio=1.1)
-        rep = decay_experiment(P, grid=grid, ctrl=ctrl, **base)
-        slope[tag] = rep.fits[0].slope
+        rep = profile_experiment(P, p=3.0, eps=0.01, horizon=25.0,
+                                 grid=Grid(1, N, 100.0), dt_max=dt)
+        slope[tag] = rep.l2_fit.slope
     assert abs(slope["fine_N"] - slope["base"]) <= 0.01 * abs(slope["base"])
     assert abs(slope["fine_dt"] - slope["base"]) <= 0.01 * abs(slope["base"])

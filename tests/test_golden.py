@@ -41,7 +41,7 @@ GOLDEN = {
     "fraclap-check": "0e547c26e41349436c3a5512589b4ca1fc498b38d1961b8ad30e62df58d4bacd",
     "kernels": "2b03c9b960d9662ad07cccdff788ca0826174c76dac4154d55f377536fd1f54d",
     "profile": "7bbf4173ba2ceb23890b2de4a6bda3e70279b6c1a3e497cee09bf448e9fd9147",
-    "solve": "dd5e7e175858d26cbb8c59224cd2f294365891cd029f0a63cc15144db94f1c5b",
+    "solve": "1e9088af2cf48cab1b3784f7625edee5cba6364a024c484e6ba02b4c3c6308a8",
     "solve-2d": "318118015387a5adcfece41a6489c4c1764799cc8f0d9671c783a980c21593c2",
 }
 

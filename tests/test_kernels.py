@@ -10,17 +10,37 @@ from mixwave.kernels import (
     _PHI1_COEFFS,
     _PHI_SERIES_RADIUS,
     _PSI_COEFFS,
+    KernelValues,
     _phi1_psi,
     _phi1_psi_series,
     duhamel_weights,
     kernel_eval,
-    kernel_eval_reference,
     profile_hat,
 )
 from mixwave.params import OperatorParams, symbol
 from mixwave.torus import Grid
 
 P = OperatorParams(1.0, 1.0, 0.5, 1)
+
+
+def kernel_eval_reference(params: OperatorParams, t, r) -> KernelValues:
+    """Naive complex-exponential evaluation, the oracle for kernel_eval.
+
+    Loses all accuracy near the degenerate discriminant.
+    """
+    t = np.asarray(t, float)
+    r = np.asarray(r, float)
+    m = np.asarray(symbol(params, r), complex)
+    sd = np.sqrt(1.0 - 4.0 * m)
+    lam_p = 0.5 * (-1.0 + sd)
+    lam_m = 0.5 * (-1.0 - sd)
+    ep = np.exp(lam_p * t)
+    em = np.exp(lam_m * t)
+    k0 = (lam_p * em - lam_m * ep) / sd
+    k1 = (ep - em) / sd
+    dk0 = lam_p * lam_m * (em - ep) / sd
+    dk1 = (lam_p * ep - lam_m * em) / sd
+    return KernelValues(k0.real, k1.real, dk0.real, dk1.real)
 
 
 def random_samples(n=10000, seed=0):

@@ -15,6 +15,7 @@ from mixwave.radial import (
     gaussian_datum,
     hs_norm,
     kernel_phase,
+    power_law_slope,
     profile_error,
     radial_integral,
     surface_area,
@@ -109,7 +110,7 @@ def test_linearity_in_datum_scale():
 
 class TestProfileError:
     def test_zero_data(self):
-        z = RadialDatum(lambda r: np.zeros_like(np.asarray(r, float)), 0.0, "zero")
+        z = RadialDatum(lambda r: np.zeros_like(np.asarray(r, float)), 0.0)
         assert profile_error(P, z, z, 0.0, 10.0) == 0.0
 
     def test_scaled_error_decreasing(self):
@@ -138,7 +139,7 @@ class TestProfileError:
         nv = hs_norm(P, mult, g, 0.0, t)
         delta = RadialDatum(
             lambda r: np.full_like(np.asarray(r, float), (2 * math.pi) ** -0.5),
-            1.0, "point mass")
+            1.0)
         ng = hs_norm(P, lambda tt, r: profile_hat(P, tt, r), delta, 0.0, t)
         assert nv >= 0.5 * 2.0 * ng
 
@@ -149,7 +150,7 @@ def test_upper_bound_without_l1_control():
     peak = 1e3
     datum = RadialDatum(
         lambda r: np.minimum(np.asarray(r, float) ** -0.3, peak) * np.exp(-np.asarray(r, float) ** 2),
-        float("nan"), "near-singular")
+        float("nan"))
     s = 0.5
     def mult(t, r):
         return kernel_eval(P, t, r).k0
@@ -162,10 +163,10 @@ def test_upper_bound_without_l1_control():
 def test_unresolved_integrand_reports_error_estimate():
     from mixwave.radial import QuadratureError
     g = gaussian_datum(1)
-    wild = lambda t, r: np.cos(4e4 * np.asarray(r, float))
+    wild = lambda r: np.cos(4e4 * r) * g.profile(r)
     with pytest.raises(QuadratureError) as err:
-        hs_norm(P, wild, g, 0.0, 1.0, QuadratureSpec(panel_order=8),
-                oscillatory=False)
+        radial_integral(lambda r: wild(r) ** 2, QuadratureSpec(panel_order=8),
+                        amplitude=wild, phase=None)
     assert err.value.estimate > 0
 
 
@@ -194,6 +195,29 @@ class TestFitPowerLaw:
     def test_degenerate_series_rejected(self, series):
         with pytest.raises(ValueError):
             fit_power_law(series)
+
+
+class TestPowerLawSlope:
+    @staticmethod
+    def _series(k):
+        # a bent power law, so the two rules give different slopes
+        return [(t, t**-0.5 * (1.0 + 0.1 * i * i))
+                for i, t in enumerate(np.geomspace(1.0, 100.0, k).tolist())]
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_short_series_take_the_end_point_slope(self, k):
+        pts = self._series(k)
+        (t0, v0), (t1, v1) = pts[0], pts[-1]
+        assert power_law_slope(pts) == math.log(v1 / v0) / math.log(t1 / t0)
+        if k > 2:       # through two points least squares is the same line
+            lt, lv = np.log(pts).T
+            assert power_law_slope(pts) != pytest.approx(np.polyfit(lt, lv, 1)[0])
+
+    def test_five_points_take_the_least_squares_slope(self):
+        pts = self._series(5)
+        (t0, v0), (t1, v1) = pts[0], pts[-1]
+        assert power_law_slope(pts) == fit_power_law(pts).slope
+        assert power_law_slope(pts) != pytest.approx(math.log(v1 / v0) / math.log(t1 / t0))
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.5])

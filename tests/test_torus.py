@@ -321,10 +321,13 @@ class TestSnapshots:
 
     def test_slice_csv(self, grid, tmp_path):
         path = tmp_path / "slice.csv"
-        write_slice_csv(path, grid, 2.0, gaussian_field(grid, 1.0, 1.0))
+        u = gaussian_field(grid, 1.0, 1.0)
+        write_slice_csv(path, grid, 2.0, u)
         lines = path.read_text().splitlines()
         assert lines[1] == "x,u"
         assert len(lines) == grid.N + 2
+        assert [[float(v) for v in line.split(",")] for line in lines[2:]] == [
+            [xv, uv] for xv, uv in zip(grid.x.tolist(), u.tolist())]
 
     def test_slice_csv_2d_is_the_y0_row(self, tmp_path):
         g = Grid(2, 64, 10.0)
@@ -333,7 +336,10 @@ class TestSnapshots:
         write_slice_csv(path, g, 0.5, u)
         lines = path.read_text().splitlines()
         row = u[:, g.N // 2]      # y = x[N/2] = 0
-        assert lines == ["# t = 0.5", "x,u"] + [f"{xv!r},{uv!r}" for xv, uv in zip(g.x, row)]
+        assert lines == ["# t = 0.5", "x,u"] + [
+            f"{xv!r},{uv!r}" for xv, uv in zip(g.x.tolist(), row.tolist())]
+        assert [[float(v) for v in line.split(",")] for line in lines[2:]] == [
+            [xv, uv] for xv, uv in zip(g.x.tolist(), row.tolist())]
 
 
 def _same_bits(a, b):
