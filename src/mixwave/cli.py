@@ -24,8 +24,10 @@ from .blowup import (
 )
 from .evolve import SolutionArchive, StepControl, initial_state, run
 from .experiments import (
+    GATES,
     ExperimentInvalid,
     decay_experiment,
+    gate,
     lifespan_sweep,
     profile_experiment,
 )
@@ -61,7 +63,6 @@ CONFIG_KEYS = {
     "r_list": (str, "", "comma-separated radii for the functional sweep"),
     "k_scale": (float, 1.0, "spatial stretch K of the weight"),
     "l_eval": (float, 1280.0, "evaluation window for fraclap-check"),
-    "tol": (float, 0.05, "pass/fail tolerance on fitted slopes"),
     "seed": (int, 0, "recorded for reproducibility"),
     "out": (str, "out", "output directory"),
 }
@@ -160,7 +161,7 @@ def validate_ranges(cfg: dict) -> None:
                           "operator family; choose sigma in (0,1) or (1,inf)")
     if cfg["sigma"] <= 0:
         raise ConfigError(f"out-of-range key 'sigma': must be positive, got {cfg['sigma']}")
-    for key in ("a", "b"):
+    for key in ("a", "b", "width", "k_scale", "l_eval"):
         if cfg[key] <= 0:
             raise ConfigError(f"out-of-range key '{key}': must be positive, got {cfg[key]}")
     if cfg["n"] < 1:
@@ -170,12 +171,12 @@ def validate_ranges(cfg: dict) -> None:
     if not (cfg["t_end"] > 0 and math.isfinite(cfg["t_end"])):
         raise ConfigError(f"out-of-range key 't_end': must be positive and finite, "
                           f"got {cfg['t_end']}")
-    if cfg["dt_max"] <= 0 or not (0 < cfg["safety"] <= 1):
-        raise ConfigError("out-of-range key 'dt_max'/'safety'")
+    if cfg["dt_max"] <= 0:
+        raise ConfigError(f"out-of-range key 'dt_max': must be positive, got {cfg['dt_max']}")
+    if not 0 < cfg["safety"] <= 1:
+        raise ConfigError(f"out-of-range key 'safety': must be in (0, 1], got {cfg['safety']}")
     if cfg["threshold"] < 1e3:
         raise ConfigError(f"out-of-range key 'threshold': must be >= 1e3, got {cfg['threshold']}")
-    if cfg["width"] <= 0:
-        raise ConfigError(f"out-of-range key 'width': must be positive, got {cfg['width']}")
     for key, positive in (("eps_list", True), ("r_list", True), ("s_list", False)):
         try:
             entries = _floats(cfg[key])
@@ -243,10 +244,11 @@ def cmd_kernels(cfg, out) -> int:
     rows = zip(r, t, kv.k0, kv.k1, kv.dk0, kv.dk1)
     io.write_csv(os.path.join(out, "kernels.csv"),
                  ["r", "t", "k0", "k1", "dk0", "dk1"], rows)
+    passed, margin = gate("kernel_identity", float(np.maximum(res1.max(), res2.max())))
     report = {"identity_residual_dk1": float(res1.max()),
               "identity_residual_dk0": float(res2.max()),
               "samples": int(t.size),
-              "pass": bool(res1.max() <= 1e-10 and res2.max() <= 1e-10)}
+              "pass": passed, "margins": {"kernel_identity": margin}}
     io.write_json(os.path.join(out, "kernel_report.json"), _summary(cfg, report))
     print(f"kernel identity residuals: {res1.max():.3e}, {res2.max():.3e}")
     return 0 if report["pass"] else 1
@@ -268,11 +270,12 @@ def cmd_linear_decay(cfg, out) -> int:
                            [t for t, _ in rep.series[f.s]],
                            [v for _, v in rep.series[f.s]],
                            comment=f"slope {f.slope!r} target {f.target!r}")
-        passed = f.deviation <= cfg["tol"]
+        name = "decay_slope_l2" if f.s == 0 else "decay_slope_hs"
+        passed, margin = gate(name, f.slope, f.target)
         ok = ok and passed
         fits.append({"s": f.s, "slope": f.slope, "target": f.target,
-                     "deviation": f.deviation, "tolerance": cfg["tol"],
-                     "pass": passed})
+                     "deviation": f.deviation, "tolerance": GATES[name][1],
+                     "pass": passed, "margins": {name: margin}})
         print(f"s={f.s}: slope={f.slope:.4f} target={f.target} "
               f"|dev|={f.deviation:.4f} -> {'pass' if passed else 'FAIL'}")
     io.write_json(os.path.join(out, "linear_decay.json"),
@@ -292,11 +295,12 @@ def cmd_profile(cfg, out) -> int:
                  zip(rep.times, rep.scaled_error))
     io.write_plot_data(os.path.join(out, "profile_error.dat"), rep.times,
                        rep.scaled_error, comment="t vs scaled profile error")
-    ratio_ok = 0.9 <= rep.ratio <= 1.1
+    ratio_ok, margin = gate("profile_ratio", rep.ratio, 1.0)
+    tol = GATES["profile_ratio"][1]
     payload = {
         "theta": rep.theta, "tail_correction": rep.tail_correction,
-        "terminal_ratio": rep.ratio, "ratio_window": [0.9, 1.1],
-        "ratio_pass": ratio_ok,
+        "terminal_ratio": rep.ratio, "ratio_window": [1.0 - tol, 1.0 + tol],
+        "ratio_pass": ratio_ok, "margins": {"profile_ratio": margin},
         "extra_decay_slope": rep.extra_decay.slope if rep.extra_decay else None,
         "duhamel_residual": rep.duhamel_residual,
         "l2_slope": rep.l2_fit.slope if rep.l2_fit else None,
@@ -360,9 +364,10 @@ def cmd_lifespan(cfg, out) -> int:
                        [e for e, _ in usable], [t for _, t in usable],
                        comment="eps vs blow-up time")
     if rep.slope is not None:
-        passed = abs(rep.slope - rep.target) <= 0.2
-        payload = {"slope": rep.slope, "target": rep.target, "tolerance": 0.2,
-                   "pass": passed, "hypothesis_notes": rep.hypothesis_notes}
+        passed, margin = gate("lifespan_slope", rep.slope, rep.target)
+        payload = {"slope": rep.slope, "target": rep.target, "pass": passed,
+                   "tolerance": GATES["lifespan_slope"][1], "margins": {"lifespan_slope": margin},
+                   "hypothesis_notes": rep.hypothesis_notes}
         print(f"lifespan slope {rep.slope:.4f} target {rep.target} -> "
               f"{'pass' if passed else 'FAIL'}")
     else:
@@ -419,7 +424,9 @@ def cmd_blowup_functional(cfg, out) -> int:
     eta = make_eta(cfg["p"])
     sweep = scaling_sweep(arc, eta, r_list, cfg["p"], K=cfg["k_scale"])
     dev = {k: abs(sweep.exponents[k] - sweep.targets[k]) for k in sweep.exponents}
-    tilde_ok = all(rep.j_r_tilde <= rep.j_r * (1 + 1e-12) for rep in sweep.reports)
+    j4_ok, margin = gate("j4_exponent", sweep.exponents["j4"], sweep.targets["j4"])
+    _, slack = GATES["j_tilde_slack"]
+    tilde_ok = all(rep.j_r_tilde <= rep.j_r * (1 + slack) for rep in sweep.reports)
     payload = {
         "radii": sweep.radii,
         "exponents": sweep.exponents,
@@ -433,7 +440,8 @@ def cmd_blowup_functional(cfg, out) -> int:
              "terms": list(rep.terms), "data_term": rep.data_term,
              "identity_residual": rep.identity_residual}
             for r, rep in zip(sweep.radii, sweep.reports)],
-        "pass": bool(dev["j4"] <= 0.15 and tilde_ok),
+        "pass": j4_ok and tilde_ok,
+        "margins": {"j4_exponent": margin},
     }
     io.write_json(os.path.join(out, "blowup_functional.json"), _summary(cfg, payload))
     print(f"j4 exponent {sweep.exponents['j4']:.4f} target {sweep.targets['j4']:.4f} "
@@ -447,9 +455,10 @@ def cmd_fraclap(cfg, out) -> int:
     r1 = frac_lap_phi(params.sigma, s0, L_eval=cfg["l_eval"])
     r2 = frac_lap_phi(params.sigma, s0, L_eval=2.0 * cfg["l_eval"])
     rel = abs(r1.ratio_sup - r2.ratio_sup) / r1.ratio_sup
+    passed, margin = gate("fraclap_change", rel)
     payload = {"sigma0": s0, "ratio_sup": r1.ratio_sup,
                "ratio_sup_doubled": r2.ratio_sup, "relative_change": rel,
-               "pass": rel < 0.05}
+               "pass": passed, "margins": {"fraclap_change": margin}}
     io.write_json(os.path.join(out, "fraclap.json"), _summary(cfg, payload))
     print(f"ratio sup {r1.ratio_sup!r}, doubled-domain change {rel:.3%} -> "
           f"{'pass' if payload['pass'] else 'FAIL'}")

@@ -4,6 +4,7 @@ claims: decay-rate fits, profile convergence, and lifespan scaling.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,36 @@ from .kernels import kernel_eval, profile_hat
 from .params import OperatorParams, exponents, theorem_hypotheses
 from .radial import PowerLawFit, fit_power_law, gaussian_datum, hs_norm, power_law_slope
 from .torus import Grid, spectral_norm, to_spectral
+
+
+# Acceptance gates, name -> (comparison, tolerance): a value passes when
+# comparison(|value - target|, tolerance) holds; the CLI and the criteria read them.
+GATES = {
+    "kernel_identity": (operator.le, 1e-10),       # criterion 1, kernels
+    "quadrature_oracle": (operator.le, 1e-8),      # criterion 2
+    "decay_slope_l2": (operator.le, 0.03),         # criterion 3 (s = 0), linear-decay
+    "decay_slope_hs": (operator.le, 0.05),         # criterion 3 (s > 0), linear-decay
+    "profile_collapse": (operator.le, 1.0 / 3.0),  # criteria 4 and 6
+    "profile_exponent": (operator.le, 0.15),       # criterion 4
+    "integrator_order": (operator.le, 0.2),        # criterion 5, target order 2
+    "linear_exactness": (operator.le, 1e-11),      # criterion 5
+    "l2_slope": (operator.le, 0.05),               # criterion 6
+    "profile_ratio": (operator.le, 0.1),           # criterion 6, profile; target 1
+    "duhamel_residual": (operator.le, 1e-6),       # criterion 6
+    "lifespan_slope": (operator.le, 0.2),          # criterion 7, lifespan-sweep
+    "lifespan_n_doubling": (operator.le, 0.10),    # criterion 7, relative shift
+    "j4_exponent": (operator.le, 0.15),            # criterion 8, blowup-functional
+    "fraclap_change": (operator.lt, 0.05),         # criterion 8, fraclap-check
+    "j_tilde_slack": (operator.le, 1e-12),         # criterion 8: J~ <= (1+slack) J, no margin
+}
+
+
+def gate(name: str, value: float, target: float = 0.0) -> tuple[bool, float]:
+    """(passed, margin) of value against GATES[name], where
+    margin = 1 - |value - target| / tolerance (negative when the gate fails)."""
+    compare, tol = GATES[name]
+    deviation = abs(value - target)
+    return bool(compare(deviation, tol)), 1.0 - deviation / tol
 
 
 def _solution_multiplier(params: OperatorParams):
@@ -230,7 +261,7 @@ def lifespan_sweep(params: OperatorParams, p: float, eps_list, grid: Grid,
         if len(usable) >= 3:
             slope, intercept = np.polyfit(xs, ys, 1)
             resid = float(np.abs(np.asarray(ys) - (slope * np.asarray(xs) + intercept)).max())
-            crit = PowerLawFit(float(slope), float(intercept), resid)
+            crit = PowerLawFit(float(slope), float(intercept))
         else:
             crit, resid = None, None
         return LifespanReport(records, None, None, crit, resid,

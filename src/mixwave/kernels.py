@@ -11,7 +11,7 @@ arithmetic, branch-wise in the sign of the discriminant d = 1 - 4m:
 * near d = 0: series in d*(t/2)^2, where the quadratic-formula expressions
   lose all digits to cancellation.
 
-A naive complex-exponential path is kept for cross-checking only.
+The tests cross-check these against a naive complex-exponential evaluation.
 """
 from __future__ import annotations
 

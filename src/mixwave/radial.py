@@ -54,19 +54,15 @@ class QuadratureSpec:
     """Panel layout for the radial integrals.
 
     panel_order Gauss-Legendre nodes per panel, r_max as fixed upper cutoff
-    (None selects it adaptively from the integrand), refinement is the
-    geometric panel ratio towards r = 0.
+    (None selects it adaptively from the integrand).
     """
 
     panel_order: int = 32
     r_max: float | None = None
-    refinement: float = 2.0
 
     def __post_init__(self):
         if self.panel_order < 8:
             raise ValueError("panel_order must be at least 8")
-        if self.refinement <= 1:
-            raise ValueError("refinement ratio must exceed 1")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -107,6 +103,8 @@ def _adaptive_r_max(integrand_amp: Callable[[np.ndarray], np.ndarray]) -> float:
 
 # decades of radius the geometric panels span below r_max
 _TAIL_DECADES = 18.0
+# geometric ratio of consecutive panel edges towards r = 0
+_REFINEMENT = 2.0
 # a Gauss panel of this order resolves roughly this much oscillation phase
 _PHASE_PER_PANEL = 20.0
 
@@ -121,12 +119,12 @@ def _panel_splits(edges: np.ndarray,
     return [max(1, int(math.ceil(float(dphi) / _PHASE_PER_PANEL))) for dphi in dphis]
 
 
-def _panel_bounds(r_max: float, spec: QuadratureSpec,
+def _panel_bounds(r_max: float,
                   phase: Callable[[np.ndarray], np.ndarray] | None) -> list[tuple]:
     """(lo, hi) of every sub-panel, largest radii first, ending with the stub
     [0, smallest edge]."""
-    n_panels = int(math.ceil(_TAIL_DECADES * math.log(10.0) / math.log(spec.refinement)))
-    edges = r_max * spec.refinement ** (-np.arange(n_panels + 1, dtype=float))
+    n_panels = int(math.ceil(_TAIL_DECADES * math.log(10.0) / math.log(_REFINEMENT)))
+    edges = r_max * _REFINEMENT ** (-np.arange(n_panels + 1, dtype=float))
     bounds = []
     for hi, lo, splits in zip(edges[:-1], edges[1:], _panel_splits(edges, phase)):
         if splits == 1:
@@ -159,7 +157,7 @@ def radial_integral(f: Callable[[np.ndarray], np.ndarray],
     """
     amp = amplitude if amplitude is not None else f
     r_max = spec.r_max if spec.r_max is not None else _adaptive_r_max(amp)
-    bounds = _panel_bounds(r_max, spec, phase)
+    bounds = _panel_bounds(r_max, phase)
     full = _panel_integral(f, bounds, spec.panel_order)
     half = _panel_integral(f, bounds, max(4, spec.panel_order // 2))
     # the difference is dominated by the half-order error, so the gate only
@@ -243,7 +241,6 @@ def profile_error(params: OperatorParams, datum0: RadialDatum, datum1: RadialDat
 class PowerLawFit:
     slope: float
     intercept: float
-    max_residual: float
 
 
 def fit_power_law(series) -> PowerLawFit:
@@ -260,10 +257,8 @@ def fit_power_law(series) -> PowerLawFit:
         raise ValueError("t samples must be strictly increasing")
     if np.any(v <= 0) or np.any(t <= 0):
         raise ValueError("degenerate series: values and times must be positive")
-    lt, lv = np.log(t), np.log(v)
-    slope, intercept = np.polyfit(lt, lv, 1)
-    resid = lv - (slope * lt + intercept)
-    return PowerLawFit(float(slope), float(intercept), float(np.abs(resid).max()))
+    slope, intercept = np.polyfit(np.log(t), np.log(v), 1)
+    return PowerLawFit(float(slope), float(intercept))
 
 
 def power_law_slope(series) -> float:

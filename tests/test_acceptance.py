@@ -13,18 +13,23 @@ from mixwave.blowup import default_sigma0, frac_lap_phi, make_eta, scaling_sweep
 from mixwave.evolve import (
     StepControl,
     build_propagator,
-    duhamel_zero_mode_residual,
     etd2_step,
     initial_state,
     linear_step,
     run,
     RunStatus,
 )
-from mixwave.experiments import decay_experiment, lifespan_sweep, profile_experiment
-from mixwave.kernels import kernel_eval, profile_hat
+from mixwave.experiments import (
+    GATES,
+    decay_experiment,
+    gate,
+    lifespan_sweep,
+    profile_experiment,
+)
+from mixwave.kernels import kernel_eval
 from mixwave.params import OperatorParams, symbol
 from mixwave.radial import QuadratureSpec, fit_power_law, gaussian_datum, profile_error, radial_integral
-from mixwave.torus import FieldState, Grid, spectral_norm, to_spectral
+from mixwave.torus import FieldState, Grid, to_spectral
 
 P05 = OperatorParams(1.0, 1.0, 0.5, 1)
 P15 = OperatorParams(1.0, 1.0, 1.5, 1)
@@ -46,7 +51,8 @@ def test_criterion_1_kernel_algebra():
     res1 = float((np.abs(kv.dk1 + kv.k1 - kv.k0) / (1 + np.abs(kv.k0))).max())
     res2 = float((np.abs(kv.dk0 + m * kv.k1) / (1 + m)).max())
     elapsed = time.time() - start
-    ok = res1 <= 1e-10 and res2 <= 1e-10 and elapsed < 1.0
+    ok = (gate("kernel_identity", res1)[0] and gate("kernel_identity", res2)[0]
+          and elapsed < 1.0)
     report("1 kernel algebra", ok,
            f"residuals {res1:.2e}/{res2:.2e}, {elapsed:.2f}s over 10^4 samples")
 
@@ -69,7 +75,7 @@ def test_criterion_2_radial_quadrature_oracle():
                     worst = max(worst, abs(got - want) / want)
                 combos += 1
     elapsed = time.time() - start
-    ok = worst <= 1e-8 and elapsed < 1.0 and combos >= 9
+    ok = gate("quadrature_oracle", worst)[0] and elapsed < 1.0 and combos >= 9
     report("2 incomplete-gamma oracle", ok,
            f"worst rel err {worst:.2e} over {combos} combos x 3 times, {elapsed:.2f}s")
 
@@ -83,9 +89,10 @@ def test_criterion_3_linear_decay_rates():
                              t_window=(1e2, 1e4), n_samples=17)
     f15 = rep15.fits[0]
     elapsed = time.time() - start
-    ok = (by_s[0.0].target == -0.5 and by_s[0.0].deviation <= 0.03
-          and by_s[0.5].target == -1.0 and by_s[0.5].deviation <= 0.05
-          and f15.target == -0.25 and f15.deviation <= 0.03
+    ok = (by_s[0.0].target == -0.5 and by_s[0.5].target == -1.0 and f15.target == -0.25
+          and gate("decay_slope_l2", by_s[0.0].slope, by_s[0.0].target)[0]
+          and gate("decay_slope_hs", by_s[0.5].slope, by_s[0.5].target)[0]
+          and gate("decay_slope_l2", f15.slope, f15.target)[0]
           and elapsed < 10.0)
     report("3 linear decay rates", ok,
            f"slopes {by_s[0.0].slope:.3f}/{by_s[0.5].slope:.3f}/{f15.slope:.3f} "
@@ -104,7 +111,8 @@ def test_criterion_4_linear_profile_convergence():
         ratio = pts[-1][1] / pts[0][1]
         fit = fit_power_law(pts)
         target = -params.alpha_min / (2.0 * params.sigma_min)
-        ok = ok and ratio <= 1.0 / 3.0 and abs(fit.slope - target) <= 0.15
+        ok = (ok and gate("profile_collapse", ratio)[0]
+              and gate("profile_exponent", fit.slope, target)[0])
         msgs.append(f"sigma={params.sigma}: ratio {ratio:.3f}, "
                     f"exponent {fit.slope:.3f} vs {target}")
     elapsed = time.time() - start
@@ -149,8 +157,8 @@ def test_criterion_5_integrator_order_and_linear_exactness():
     lin_err = float(np.max(np.abs(state.uhat - exact_u)) / np.max(np.abs(st.uhat)))
 
     elapsed = time.time() - start
-    ok = (all(1.8 <= o <= 2.2 for o in orders) and lin_err <= 1e-11
-          and elapsed < 30.0)
+    ok = (all(gate("integrator_order", o, 2.0)[0] for o in orders)
+          and gate("linear_exactness", lin_err)[0] and elapsed < 30.0)
     report("5 integrator order", ok,
            f"orders {['%.2f' % o for o in orders]}, linear defect {lin_err:.2e}, "
            f"{elapsed:.1f}s")
@@ -168,14 +176,14 @@ def test_criterion_6_semilinear_supercritical(supercritical_run):
     rep = supercritical_run
     out = rep.outcome
     completed = out.status is RunStatus.COMPLETED
-    slope_ok = rep.l2_fit is not None and abs(rep.l2_fit.slope - (-0.5)) <= 0.05
-    ratio_ok = 0.9 <= rep.ratio <= 1.1
+    slope_ok = rep.l2_fit is not None and gate("l2_slope", rep.l2_fit.slope, -0.5)[0]
+    ratio_ok = gate("profile_ratio", rep.ratio, 1.0)[0]
     duh = rep.duhamel_residual
-    duh_ok = duh is not None and duh <= 1e-6
+    duh_ok = duh is not None and gate("duhamel_residual", duh)[0]
     # vanishing-limit property: the scaled profile error collapses by 10^3
     e10 = min(e for t, e in zip(rep.times, rep.scaled_error) if t >= 10.0 and t < 12.0)
     e1000 = rep.scaled_error[-1]
-    prof_ok = e1000 <= e10 / 3.0
+    prof_ok = gate("profile_collapse", e1000 / e10)[0]
     ok = completed and slope_ok and ratio_ok and duh_ok and prof_ok
     report("6 semilinear super-critical", ok,
            f"status={out.status.value}, slope {rep.l2_fit.slope:.3f} (window "
@@ -199,10 +207,11 @@ def test_criterion_7_subcritical_lifespan_scaling():
     stable = max(abs(times[32768][e] - times[16384][e]) / times[32768][e]
                  for e in times[16384])
     elapsed = time.time() - start
-    ok = abs(slopes[16384] - (-1.0)) <= 0.2 and stable <= 0.10
+    ok = (gate("lifespan_slope", slopes[16384], -1.0)[0]
+          and gate("lifespan_n_doubling", stable)[0])
     report("7 sub-critical lifespan scaling", ok,
-           f"slope {slopes[16384]:.3f} (target -1 +/- 0.2), N-doubling shift "
-           f"{stable:.2%}, {elapsed:.0f}s")
+           f"slope {slopes[16384]:.3f} (target -1 +/- {GATES['lifespan_slope'][1]}), "
+           f"N-doubling shift {stable:.2%}, {elapsed:.0f}s")
 
 
 @pytest.fixture(scope="module")
@@ -224,17 +233,18 @@ def test_criterion_8_blowup_certificate(stored_blowup):
         r1 = frac_lap_phi(sigma, s0, L_eval=1280.0)
         r2 = frac_lap_phi(sigma, s0, L_eval=2560.0)
         changes[sigma] = abs(r1.ratio_sup - r2.ratio_sup) / r1.ratio_sup
-    ratio_ok = all(v < 0.05 for v in changes.values())
+    ratio_ok = all(gate("fraclap_change", v)[0] for v in changes.values())
 
     arc = stored_blowup.archive
     T = stored_blowup.t_final
     eta = make_eta(1.5)
     r_hi = 0.45 * T
     sweep = scaling_sweep(arc, eta, np.geomspace(r_hi / math.sqrt(10.0), r_hi, 7), 1.5)
-    j4_dev = abs(sweep.exponents["j4"] - sweep.targets["j4"])
-    tilde_ok = all(rep.j_r_tilde <= rep.j_r * (1 + 1e-12) for rep in sweep.reports)
+    j4_ok = gate("j4_exponent", sweep.exponents["j4"], sweep.targets["j4"])[0]
+    _, slack = GATES["j_tilde_slack"]
+    tilde_ok = all(rep.j_r_tilde <= rep.j_r * (1 + slack) for rep in sweep.reports)
     elapsed = time.time() - start
-    ok = ratio_ok and j4_dev <= 0.15 and tilde_ok and elapsed < 300.0
+    ok = ratio_ok and j4_ok and tilde_ok and elapsed < 300.0
     report("8 blow-up certificate", ok,
            f"ratio-sup changes {changes[0.5]:.2%}/{changes[1.5]:.2%}, j4 "
            f"{sweep.exponents['j4']:.3f} vs {sweep.targets['j4']:.3f}, "

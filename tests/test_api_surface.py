@@ -10,10 +10,13 @@ an imported name, or a string equal to the name (perfbench/layers.py wraps
 layer functions by their names).  Code only the tests use belongs in tests/.
 
 The same holds one level down: every defaulted parameter of a public
-function or method must be passed, by keyword or by position, by some call
-in src/mixwave or perfbench/.  A call matches by the callee's name, as a
-reference does above.  PARAMETER_ORACLES lists the knobs that only the tests
-turn, each because a test uses it as an oracle.
+function or method, and every defaulted field of a public frozen dataclass,
+must be passed, by keyword or by position, by some call in src/mixwave or
+perfbench/.  A call matches by the callee's name, as a reference does above.
+PARAMETER_ORACLES lists the knobs that only the tests turn, each because a
+test uses it as an oracle.
+
+No module under tests/ or perfbench/ imports a name it never references.
 """
 import ast
 from pathlib import Path
@@ -27,6 +30,8 @@ PARAMETER_ORACLES = {
     "blowup.eta_condition_value(samples)": "refinement test of the measured constant",
     "blowup.frac_lap_phi(points_per_unit)": "refinement test of the spectral Laplacian",
     "radial.hs_norm(spec)": "the panel-order doubling test",
+    "radial.QuadratureSpec(panel_order)": "the panel-order doubling test",
+    "radial.QuadratureSpec(r_max)": "criterion 2: the incomplete-gamma oracle",
     "radial.gaussian_datum(mass)": "the mass-convention tests",
 }
 
@@ -87,13 +92,39 @@ def _defaulted_parameters(fn, method):
                if d is not None])
 
 
+def _is_frozen_dataclass(cls):
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               and any(k.arg == "frozen" and getattr(k.value, "value", None) is True
+                       for k in d.keywords)
+               for d in cls.decorator_list)
+
+
+def _is_init_false(value):
+    return (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+            and any(k.arg == "init" and getattr(k.value, "value", None) is False
+                    for k in value.keywords))
+
+
+def _defaulted_fields(cls):
+    """(name, position) of a dataclass's defaulted __init__ fields; a
+    field(init=False) is not a parameter."""
+    fields = [stmt for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+              and not _is_init_false(stmt.value)]
+    return [(stmt.target.id, i) for i, stmt in enumerate(fields) if stmt.value is not None]
+
+
 def _public_functions():
-    """(label, name, defaulted parameters) of every public top-level function
-    and every public method of a public class."""
+    """(label, name, defaulted parameters) of every public top-level function,
+    every public method of a public class and every public frozen dataclass
+    (whose parameters are its fields)."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                if _is_frozen_dataclass(node):
+                    found.append((f"{path.stem}.{node.name}", node.name,
+                                  _defaulted_fields(node)))
                 prefix, method = f"{path.stem}.{node.name}.", True
                 defs = [fn for fn in node.body if isinstance(fn, ast.FunctionDef)]
             else:
@@ -125,17 +156,37 @@ def unpassed_parameters():
     return sorted(missing)
 
 
+def _import_bindings(node):
+    """Names that an import statement binds; none for other nodes."""
+    if not isinstance(node, (ast.Import, ast.ImportFrom)):
+        return []
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+
+
 def package_bound_names():
     """Names that __init__ binds: imports, assignment targets, defs, classes."""
     bound = []
     for node in ast.walk(ast.parse((PACKAGE / "__init__.py").read_text())):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+        bound += _import_bindings(node)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             bound.append(node.id)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             bound.append(node.name)
     return bound
+
+
+def unused_imports():
+    """Sorted 'file: name' of the names a module under tests/ or perfbench/
+    imports and never references (__future__ imports aside)."""
+    unused = []
+    for path in sorted((ROOT / "tests").rglob("*.py")) + sorted(PERFBENCH.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {name for node in ast.walk(tree)
+                    if getattr(node, "module", None) != "__future__"
+                    for name in _import_bindings(node)}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(ROOT)}: {name}" for name in imported - used]
+    return sorted(unused)
 
 
 def test_every_public_name_is_used_outside_the_tests():
@@ -151,3 +202,7 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
 
 def test_package_namespace_is_empty():
     assert package_bound_names() == []
+
+
+def test_no_unused_imports_in_tests_or_perfbench():
+    assert unused_imports() == []

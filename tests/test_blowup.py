@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixwave.blowup import (
-    FracLapReport,
     SpatialWeight,
     TestFunctions,
     _interpolant,

