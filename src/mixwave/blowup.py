@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .evolve import SolutionArchive
 from .params import OperatorParams
@@ -208,7 +207,103 @@ def _weight_fields(archive: SolutionArchive, tf: TestFunctions):
     return phi_r, lap_phi, frac
 
 
-def _interpolant(archive: SolutionArchive) -> CubicSpline:
+class _TimeSpline:
+    """Not-a-knot cubic spline through snapshots y[i] taken at times x[i].
+
+    From four snapshots on it computes what
+    scipy.interpolate.CubicSpline(x, y, axis=0) computes, in the same
+    operations and order, so values agree bit for bit: the same slopes and
+    boundary rows, the pivoting elimination of LAPACK dgtsv (what
+    solve_banded((1, 1), ...) calls), the PPoly coefficients c[0..3] and the
+    PPoly sum c3 + c2 s + c1 s^2 + c0 (s^2 s).  Two snapshots give the line
+    and three the parabola through them, as in scipy, up to rounding.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, float)
+        n = len(x)
+        if n < 2:
+            raise ValueError(f"a spline in time needs at least 2 snapshots, got {n}")
+        dx = np.diff(x)
+        if not np.all(dx > 0):
+            raise ValueError("snapshot times must be strictly increasing")
+        if not np.isfinite(y).all():
+            raise ValueError("snapshot values must be finite")
+        self.x = x
+        self.shape = y.shape[1:]
+        y = y.reshape(n, -1)
+        dxr = dx[:, None]
+        slope = np.diff(y, axis=0) / dxr
+        if n == 2:
+            s = np.concatenate((slope, slope))
+        elif n == 3:
+            mid = (dx[1] * slope[0] + dx[0] * slope[1]) / (dx[0] + dx[1])
+            s = np.stack((2 * slope[0] - mid, mid, 2 * slope[1] - mid))
+        else:
+            s = self._slopes(x, dx, dxr, slope)
+        k = (s[:-1] + s[1:] - 2 * slope) / dxr
+        # PPoly's sum starts from 0.0, which turns a -0.0 in y into +0.0
+        self.c = np.stack((k / dxr, (slope - s[:-1]) / dxr - k, s[:-1], 0.0 + y[:-1]))
+
+    @staticmethod
+    def _slopes(x, dx, dxr, slope):
+        """Knot derivatives: the not-a-knot tridiagonal system, solved as dgtsv does."""
+        n = len(x)
+        b = np.empty((n, slope.shape[1]))
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        head = x[2] - x[0]
+        b[0] = ((dxr[0] + 2 * head) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / head
+        tail = x[-1] - x[-3]
+        b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * tail + dxr[-1]) * dxr[-2] * slope[-1]) / tail
+        # sub-, main and super-diagonal; dl[i] becomes the second super-diagonal
+        # entry of row i when rows i and i+1 are swapped, and 0 otherwise
+        dl = [*dx[1:].tolist(), tail]
+        d = [dx[1], *(2 * (dx[:-1] + dx[1:])).tolist(), dx[-2]]
+        du = [head, *dx[:-1].tolist()]
+        for i in range(n - 1):
+            if abs(d[i]) >= abs(dl[i]):
+                fact = dl[i] / d[i]
+                d[i + 1] = d[i + 1] - fact * du[i]
+                b[i + 1] -= fact * b[i]
+                dl[i] = 0.0
+            else:
+                fact = d[i] / dl[i]
+                d[i] = dl[i]
+                temp = d[i + 1]
+                d[i + 1] = du[i] - fact * temp
+                if i < n - 2:
+                    dl[i] = du[i + 1]
+                    du[i + 1] = -fact * dl[i]
+                du[i] = temp
+                b[i], b[i + 1] = b[i + 1].copy(), b[i] - fact * b[i + 1]
+        b[-1] /= d[-1]
+        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+        for i in range(n - 3, -1, -1):
+            b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+        return b
+
+    def __call__(self, t):
+        """Values at times t, shape t.shape + shape; outside the knots the
+        end pieces are extended."""
+        t = np.asarray(t, float)
+        tf = t.ravel()
+        c0, c1, c2, c3 = self.c
+        out = np.empty((tf.size, c0.shape[1]))
+        piece = np.clip(np.searchsorted(self.x, tf, side="right") - 1, 0, len(self.x) - 2)
+        cuts = [0, *(np.flatnonzero(np.diff(piece)) + 1).tolist(), tf.size]
+        for lo, hi in zip(cuts, cuts[1:]):
+            i = piece[lo]
+            s = (tf[lo:hi] - self.x[i])[:, None]
+            s2 = s * s
+            o = out[lo:hi]
+            np.multiply(c2[i], s, out=o)
+            o += c3[i]
+            o += c1[i] * s2
+            o += c0[i] * (s2 * s)
+        return out.reshape(t.shape + self.shape)
+
+
+def _interpolant(archive: SolutionArchive) -> _TimeSpline:
     """Cubic spline of the snapshots in time.
 
     Kept on the archive, so all radii of a sweep share one spline; built
@@ -216,8 +311,7 @@ def _interpolant(archive: SolutionArchive) -> CubicSpline:
     """
     n = len(archive.times)
     if archive.interp_cache is None or archive.interp_cache[0] != n:
-        spline = CubicSpline(np.asarray(archive.times), np.stack(archive.fields), axis=0)
-        archive.interp_cache = (n, spline)
+        archive.interp_cache = (n, _TimeSpline(archive.times, np.stack(archive.fields)))
     return archive.interp_cache[1]
 
 

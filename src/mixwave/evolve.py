@@ -102,8 +102,8 @@ class SolutionArchive:
     u1: np.ndarray           # eps-scaled velocity datum
     times: list[float] = field(default_factory=list)
     fields: list[np.ndarray] = field(default_factory=list)
-    # (snapshot count, cubic spline in time), built by the blowup module's
-    # space-time quadrature on first use
+    # (snapshot count, blowup._TimeSpline of the snapshots), built by the
+    # blowup module's space-time quadrature on first use, again after appends
     interp_cache: tuple | None = field(default=None, init=False, repr=False,
                                        compare=False)
 

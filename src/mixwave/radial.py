@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .kernels import kernel_eval, profile_hat
 from .params import OperatorParams
@@ -22,7 +21,7 @@ from .params import OperatorParams
 
 def surface_area(n: int) -> float:
     """Measure of the unit sphere in n dimensions, 2 pi^(n/2) / Gamma(n/2)."""
-    return 2.0 * math.pi ** (n / 2.0) / gamma_fn(n / 2.0)
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,14 @@ PARAMETER_ORACLES lists the knobs that only the tests turn, each because a
 test uses it as an oracle.
 
 No module under tests/ or perfbench/ imports a name it never references.
+
+scipy is a test dependency only: no module of src/mixwave loads it, checked
+in a fresh interpreter.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -206,3 +212,19 @@ def test_package_namespace_is_empty():
 
 def test_no_unused_imports_in_tests_or_perfbench():
     assert unused_imports() == []
+
+
+def test_no_module_loads_scipy():
+    modules = ["mixwave.cli"] + [f"mixwave.{path.stem}" for path in sorted(PACKAGE.glob("*.py"))
+                                 if path.stem != "__init__"]
+    script = ("import importlib, sys\n"
+              "for name in sys.argv[1:]:\n"
+              "    importlib.import_module(name)\n"
+              "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+              "    if loaded:\n"
+              "        sys.exit(f'{name} loaded {loaded}')\n")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    proc = subprocess.run([sys.executable, "-c", script, *modules], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from mixwave.blowup import (
     SpatialWeight,
     TestFunctions,
     _interpolant,
+    _TimeSpline,
     default_sigma0,
     eta_condition_value,
     evaluate_functionals,
@@ -18,6 +20,7 @@ from mixwave.blowup import (
     scaling_targets,
 )
 from mixwave.evolve import SolutionArchive, StepControl, initial_state, run
+from mixwave.experiments import gate
 from mixwave.params import OperatorParams
 from mixwave.torus import Grid
 
@@ -82,7 +85,7 @@ class TestFracLap:
     def test_ratio_stable_under_domain_doubling(self):
         r1 = frac_lap_phi(0.5, 0.5, L_eval=1280.0)
         r2 = frac_lap_phi(0.5, 0.5, L_eval=2560.0)
-        assert abs(r1.ratio_sup - r2.ratio_sup) / r1.ratio_sup < 0.05
+        assert gate("fraclap_change", abs(r1.ratio_sup - r2.ratio_sup) / r1.ratio_sup)[0]
 
     def test_zeroth_power_is_identity(self):
         rep = frac_lap_phi(0.0, 0.5, L_eval=1280.0)
@@ -185,6 +188,72 @@ class TestFunctionals:
             jac * R ** (-2 * smin) * rep2.terms[3], rel=1e-5)
 
 
+def _knots(rng, n):
+    """n strictly increasing times from 0 with uneven steps, so that the
+    tridiagonal elimination swaps rows for most draws."""
+    return np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 2.0, n - 1))])
+
+
+class TestTimeSpline:
+    """The numpy spline against scipy's CubicSpline as the oracle."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bitwise_equal_to_scipy(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 4 if seed == 0 else int(rng.integers(5, 40))
+        x = _knots(rng, n)
+        y = rng.normal(size=(n, 3, 5)) * 10.0 ** rng.uniform(-3, 3)
+        ref = CubicSpline(x, y, axis=0)
+        spline = _TimeSpline(x, y)
+        assert spline.c.reshape(ref.c.shape).tobytes() == ref.c.tobytes()
+        # at the knots, inside, at t = 0 and just past (and before) the ends
+        t = np.sort(np.concatenate([x, rng.uniform(0.0, x[-1], 200),
+                                    [-0.5, 0.0, x[-1] + 1e-12, x[-1] + 0.5]]))
+        got = spline(t)
+        assert got.shape == (t.size, 3, 5)
+        assert got.tobytes() == ref(t).tobytes()
+        assert spline(x[1]).tobytes() == ref(x[1]).tobytes()
+
+    def test_archive_knots_bitwise_equal_to_scipy(self):
+        # geometric snapshot times, as record_ratio stores them
+        rng = np.random.default_rng(11)
+        x = np.concatenate([[0.0], 0.02 * 1.04 ** np.arange(104)])
+        y = rng.normal(size=(x.size, 64))
+        t = np.linspace(0.0, x[-1], 801)
+        assert _TimeSpline(x, y)(t).tobytes() == CubicSpline(x, y, axis=0)(t).tobytes()
+
+    def test_sign_of_zero_as_scipy(self):
+        # -t - t^2 - t^3 is -0.0 at t = 0 and its c0, c1, c2 are negative, so
+        # the value there is +0.0 only when the sum starts from 0.0, as PPoly's
+        x = np.array([0.0, 1.0, 2.5, 3.0, 4.5])
+        y = (-x - x**2 - x**3)[:, None]
+        assert _TimeSpline(x, y)(x).tobytes() == CubicSpline(x, y, axis=0)(x).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_line_and_parabola_match_scipy(self, n):
+        rng = np.random.default_rng(n)
+        x = _knots(rng, n)
+        y = rng.normal(size=(n, 7))
+        t = np.concatenate([x, np.linspace(-0.5, x[-1] + 0.5, 101)])
+        want = CubicSpline(x, y, axis=0)(t)
+        np.testing.assert_allclose(_TimeSpline(x, y)(t), want, rtol=1e-14,
+                                   atol=1e-14 * np.abs(want).max())
+
+    def test_needs_two_snapshots(self):
+        with pytest.raises(ValueError, match="at least 2 snapshots, got 1"):
+            _TimeSpline([0.0], np.ones((1, 4)))
+
+    @pytest.mark.parametrize("times, value, match", [
+        ([0.0, 1.0, 1.0, 2.0], 1.0, "strictly increasing"),
+        ([0.0, 1.0, 2.0, 3.0], np.nan, "finite"),
+    ])
+    def test_bad_snapshots_rejected(self, times, value, match):
+        y = np.ones((4, 8))
+        y[2, 3] = value
+        with pytest.raises(ValueError, match=match):
+            _TimeSpline(times, y)
+
+
 class TestScalingSweep:
     def test_j4_exponent_near_target(self, blowup_archive):
         arc, T = blowup_archive
@@ -192,7 +261,7 @@ class TestScalingSweep:
         r_hi = 0.45 * T
         sweep = scaling_sweep(arc, eta, np.geomspace(r_hi / math.sqrt(10), r_hi, 7), 1.5)
         assert sweep.targets["j4"] == pytest.approx(-1.0 / 3.0)
-        assert abs(sweep.exponents["j4"] - sweep.targets["j4"]) <= 0.15
+        assert gate("j4_exponent", sweep.exponents["j4"], sweep.targets["j4"])[0]
 
     def test_combined_bound_constant_stable(self, blowup_archive):
         arc, T = blowup_archive
@@ -221,6 +290,10 @@ class TestScalingSweep:
                               fields=[z, z + 1.0, z + 4.0])
         spline = _interpolant(arc)
         assert _interpolant(arc) is spline
+        # three snapshots give the parabola t^2 through them
+        t = np.linspace(0.0, 2.0, 21)
+        assert np.all(np.isfinite(spline(t)))
+        np.testing.assert_allclose(spline(t)[:, 0], t**2, rtol=1e-14, atol=1e-14)
         arc.times.append(3.0)
         arc.fields.append(z + 9.0)
         spline = _interpolant(arc)

@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 from mixwave import cli
 from mixwave.cli import ConfigError, main, read_config_file, resolve_config
-from mixwave.experiments import LifespanRecord, LifespanReport
+from mixwave.experiments import GATES, LifespanRecord, LifespanReport, gate
 
 
 def run_cli(args):
@@ -225,7 +225,7 @@ class TestCommands:
         assert len(rows) == 2001
         rep = json.loads((out / "kernel_report.json").read_text())
         assert rep["pass"] is True
-        assert rep["identity_residual_dk1"] <= 1e-10
+        assert rep["identity_residual_dk1"] <= GATES["kernel_identity"][1]
 
     def test_kernels_deterministic(self, tmp_path):
         out = tmp_path / "k"
@@ -298,7 +298,7 @@ class TestCommands:
         payload = json.loads((out / "linear_decay.json").read_text())
         fit = payload["fits"][0]
         assert {"slope", "target", "deviation", "tolerance", "pass"} <= set(fit)
-        assert fit["tolerance"] == 0.03
+        assert fit["tolerance"] == GATES["decay_slope_l2"][1]
         assert set(fit["margins"]) == {"decay_slope_l2"}
         assert (out / "decay_s0.dat").exists()
 
@@ -311,7 +311,7 @@ class TestCommands:
         assert code == 0
         payload = json.loads((out / "profile.json").read_text())
         assert payload["theta"] == pytest.approx(0.2, abs=1e-9)
-        assert 0.9 <= payload["terminal_ratio"] <= 1.1
+        assert gate("profile_ratio", payload["terminal_ratio"], 1.0)[0]
         assert (out / "profile_error.csv").exists()
         assert (out / "profile_error.dat").exists()
 
@@ -321,7 +321,7 @@ class TestCommands:
                         "--n", "1", "--out", str(out)])
         assert code == 0
         payload = json.loads((out / "fraclap.json").read_text())
-        assert payload["relative_change"] < 0.05
+        assert gate("fraclap_change", payload["relative_change"])[0]
 
     def test_blowup_functional_from_stored_snapshots(self, tmp_path):
         solve_out = tmp_path / "solve"
@@ -338,4 +338,4 @@ class TestCommands:
         assert code == 0
         payload = json.loads((func_out / "blowup_functional.json").read_text())
         assert payload["j_tilde_le_j"] is True
-        assert abs(payload["exponents"]["j4"] - payload["targets"]["j4"]) <= 0.15
+        assert gate("j4_exponent", payload["exponents"]["j4"], payload["targets"]["j4"])[0]

@@ -85,15 +85,15 @@ class TestDecayExperiment:
                                t_window=(1e2, 1e4), n_samples=13)
         by_s = {f.s: f for f in rep.fits}
         assert by_s[0.0].target == -0.5
-        assert by_s[0.0].deviation <= 0.03
+        assert gate("decay_slope_l2", by_s[0.0].slope, by_s[0.0].target)[0]
         assert by_s[0.5].target == -1.0
-        assert by_s[0.5].deviation <= 0.05
+        assert gate("decay_slope_hs", by_s[0.5].slope, by_s[0.5].target)[0]
 
     def test_radial_sigma_above_one(self):
         q = OperatorParams(1.0, 1.0, 1.5, 1)
         rep = decay_experiment(q, s_list=(0.0,), mode="radial", n_samples=11)
         assert rep.fits[0].target == -0.25
-        assert rep.fits[0].deviation <= 0.03
+        assert gate("decay_slope_l2", rep.fits[0].slope, rep.fits[0].target)[0]
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -107,10 +107,10 @@ class TestProfileExperiment:
         # the latest decade below the resolution horizon L^(2 sigma) / (4^(2 sigma) b)
         assert f.window == (2.5, 25.0)
         assert f.target == -0.5
-        # radial fit over the same window agrees within 0.05
+        # the radial fit over the same window agrees to the criterion-6 slope gate
         rad = decay_experiment(P, s_list=(0.0,), mode="radial",
                                t_window=f.window, n_samples=11)
-        assert abs(rad.fits[0].slope - f.slope) <= 0.05
+        assert gate("l2_slope", f.slope, rad.fits[0].slope)[0]
 
     def test_blowup_scenario_invalid(self):
         grid = Grid(1, 256, 30.0)

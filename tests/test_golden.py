@@ -5,9 +5,9 @@ of every file it writes (JSON, CSV, plot data, snapshots) is folded into one
 digest per case.  A refactor or speed-up that keeps every output bit keeps
 these digests; a change that moves a single bit of any artifact does not.
 
-The digests were taken on Python 3.11.7, numpy 2.4.6 and scipy 1.17.1
-(x86-64).  Other numpy/scipy builds may round FFTs or splines differently;
-record the digests again there with ``python tests/test_golden.py``.
+The digests were taken on Python 3.11.7 and numpy 2.4.6 (x86-64).  Other
+numpy builds or C math libraries may round FFTs, matrix products or Gamma
+differently; record the digests again there with ``python tests/test_golden.py``.
 """
 import contextlib
 import hashlib

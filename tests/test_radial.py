@@ -26,9 +26,11 @@ ONES = lambda t, r: np.ones_like(np.asarray(r, float))
 
 
 def test_surface_area_values():
-    assert surface_area(1) == pytest.approx(2.0)
-    assert surface_area(2) == pytest.approx(2.0 * math.pi)
-    assert surface_area(3) == pytest.approx(4.0 * math.pi)
+    closed_forms = [2.0, 2.0 * math.pi, 4.0 * math.pi, 2.0 * math.pi**2,
+                    8.0 * math.pi**2 / 3.0, math.pi**3, 16.0 * math.pi**3 / 15.0,
+                    math.pi**4 / 3.0]
+    for n, closed_form in enumerate(closed_forms, start=1):
+        assert abs(surface_area(n) - closed_form) <= 2 * math.ulp(closed_form), n
 
 
 def test_gaussian_datum_mass_convention():
