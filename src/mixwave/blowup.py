@@ -54,8 +54,7 @@ class Eta:
         t = np.asarray(t, float)
         tau = 2.0 * t - 1.0
         base = (1.0 - _smoothstep5(tau)) ** self.q
-        out = np.where(t <= 0.5, 1.0, np.where(t >= 1.0, 0.0, base))
-        return out if out.ndim else float(out)
+        return np.where(t <= 0.5, 1.0, np.where(t >= 1.0, 0.0, base))
 
     def d1(self, t):
         t = np.asarray(t, float)
@@ -63,8 +62,7 @@ class Eta:
         b = 1.0 - _smoothstep5(tau)
         inside = (t > 0.5) & (t < 1.0)
         val = -2.0 * self.q * np.where(inside, b, 1.0) ** (self.q - 1) * _smoothstep5_d1(tau)
-        out = np.where(inside, val, 0.0)
-        return out if out.ndim else float(out)
+        return np.where(inside, val, 0.0)
 
     def d2(self, t):
         t = np.asarray(t, float)
@@ -76,15 +74,14 @@ class Eta:
         s2 = _smoothstep5_d2(tau)
         val = 4.0 * self.q * ((self.q - 1) * bs ** (self.q - 2) * s1**2
                               - bs ** (self.q - 1) * s2)
-        out = np.where(inside, val, 0.0)
-        return out if out.ndim else float(out)
+        return np.where(inside, val, 0.0)
 
 
 def eta_condition_value(eta: Eta, p: float, samples: int = 20001) -> float:
     """Measured sup of eta^(-p'/p)(|eta'|^p' + |eta''|^p') over (1/2, 1)."""
     pp = p / (p - 1.0)
     t = np.linspace(0.5, 1.0, samples)[:-1]
-    e = np.asarray(eta(t))
+    e = eta(t)
     good = e > 0
     val = e[good] ** (-pp / p) * (np.abs(eta.d1(t[good])) ** pp
                                   + np.abs(eta.d2(t[good])) ** pp)
@@ -341,9 +338,9 @@ def evaluate_functionals(archive: SolutionArchive, tf: TestFunctions,
 
     tq = np.linspace(0.0, t_span, _TIME_NODES)
     tt = tq / t_span
-    eta_v = np.asarray(tf.eta(tt))
-    eta_d1 = np.asarray(tf.eta.d1(tt)) / t_span
-    eta_d2 = np.asarray(tf.eta.d2(tt)) / t_span**2
+    eta_v = tf.eta(tt)
+    eta_d1 = tf.eta.d1(tt) / t_span
+    eta_d2 = tf.eta.d2(tt) / t_span**2
 
     uq = spline(tq)
     flat = uq.reshape(_TIME_NODES, -1)

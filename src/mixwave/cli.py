@@ -175,6 +175,8 @@ def validate_ranges(cfg: dict) -> None:
         raise ConfigError(f"out-of-range key 'dt_max': must be positive, got {cfg['dt_max']}")
     if not 0 < cfg["safety"] <= 1:
         raise ConfigError(f"out-of-range key 'safety': must be in (0, 1], got {cfg['safety']}")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"out-of-range key 'seed': must be nonnegative, got {cfg['seed']}")
     if cfg["threshold"] < 1e3:
         raise ConfigError(f"out-of-range key 'threshold': must be >= 1e3, got {cfg['threshold']}")
     for key, positive in (("eps_list", True), ("r_list", True), ("s_list", False)):
@@ -390,7 +392,7 @@ def _load_archive(cfg) -> SolutionArchive:
     grid0, _, u0 = read_snapshot(os.path.join(direc, "data_u0.bin"))
     _, _, u1 = read_snapshot(os.path.join(direc, "data_u1.bin"))
     params = _params(cfg)
-    arc = SolutionArchive(grid0, params, cfg["p"], cfg["eps"], u0, u1)
+    arc = SolutionArchive(grid0, params, cfg["eps"], u0, u1)
     for fn in names:
         grid, t, u = read_snapshot(os.path.join(direc, fn))
         if grid != grid0:

@@ -96,7 +96,6 @@ class SolutionArchive:
 
     grid: Grid
     params: OperatorParams
-    p: float
     eps: float
     u0: np.ndarray           # eps-scaled position datum
     u1: np.ndarray           # eps-scaled velocity datum
@@ -224,7 +223,7 @@ def run(params: OperatorParams, state: FieldState, ctrl: StepControl, p: float, 
 
     archive = None
     if ctrl.snapshots:
-        archive = SolutionArchive(grid, params, p, eps, u0, u1)
+        archive = SolutionArchive(grid, params, eps, u0, u1)
 
     stop_threshold = max(ctrl.blowup_threshold,
                          THRESHOLD_LADDER[-1] if ctrl.track_band else 0.0)

@@ -35,11 +35,10 @@ def write_json(path, payload: dict) -> None:
 
 
 def write_plot_data(path, xs: Sequence[float], ys: Sequence[float],
-                    comment: str = "") -> None:
-    """Two-column whitespace-separated data, ready for any plotting tool."""
+                    comment: str) -> None:
+    """Two-column whitespace-separated data under a '# comment' line."""
     with open(path, "w") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+        fh.write(f"# {comment}\n")
         for x, y in zip(xs, ys):
             fh.write(f"{_fmt(x)} {_fmt(y)}\n")
 

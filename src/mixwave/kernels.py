@@ -29,12 +29,12 @@ _SERIES_W = 1e-4
 
 @dataclass(frozen=True)
 class KernelValues:
-    """K0, K1 and their time derivatives at one (t, r), or arrays thereof."""
+    """K0, K1 and their time derivatives on the broadcast (t, r) points."""
 
-    k0: np.ndarray | float
-    k1: np.ndarray | float
-    dk0: np.ndarray | float
-    dk1: np.ndarray | float
+    k0: np.ndarray
+    k1: np.ndarray
+    dk0: np.ndarray
+    dk1: np.ndarray
 
 
 # Taylor coefficients of the kernel series, highest order first
@@ -85,13 +85,13 @@ def _trig_kernels(t, w):
 def kernel_eval(params: OperatorParams, t, r) -> KernelValues:
     """Evaluate the solution kernels at time(s) t >= 0 and radii r >= 0.
 
-    Broadcasts over numpy arrays; scalars in give scalars out.  The returned
-    values satisfy dk1 + k1 = k0 and dk0 = -m*k1 up to roundoff, and at t=0
-    reproduce the initial data (k0=1, k1=0, dk0=0, dk1=1).
+    Broadcasts over numpy arrays; a scalar t and a scalar r give arrays of
+    shape (1,).  The returned values satisfy dk1 + k1 = k0 and dk0 = -m*k1
+    up to roundoff, and at t=0 reproduce the initial data (k0=1, k1=0,
+    dk0=0, dk1=1).
     """
     t = np.asarray(t, float)
     r = np.asarray(r, float)
-    scalar = t.ndim == 0 and r.ndim == 0
     if t.ndim:
         # time arrays: evaluate on the broadcast shape
         t, r = (np.ascontiguousarray(a) for a in np.broadcast_arrays(t, r))
@@ -138,8 +138,6 @@ def kernel_eval(params: OperatorParams, t, r) -> KernelValues:
                 k0[mask], k1[mask], dk1[mask] = branch(sub_t, arg[mask])
 
     dk0 = -m * k1
-    if scalar:
-        return KernelValues(float(k0[0]), float(k1[0]), float(dk0[0]), float(dk1[0]))
     return KernelValues(k0, k1, dk0, dk1)
 
 
@@ -158,7 +156,7 @@ def profile_hat(params: OperatorParams, t, r):
         g = np.exp(-params.b * r ** (2.0 * params.sigma) * t)
     else:
         g = np.exp(-params.a * r**2 * t)
-    return g if g.ndim else float(g)
+    return g
 
 
 # --- Duhamel weights -------------------------------------------------------
@@ -306,14 +304,15 @@ def _direct_differences(mu: float, delta: np.ndarray):
 class DuhamelWeights:
     """Kernel moments over one step, per the integrator's update formulas."""
 
-    w0: np.ndarray | float    # int_0^h K1
-    w1: np.ndarray | float    # (1/h) int_0^h s K1(s) ds
-    w0t: np.ndarray | float   # int_0^h dK1 = K1(h)
-    w1t: np.ndarray | float   # (1/h) int_0^h s dK1(s) ds = K1(h) - w0/h
+    w0: np.ndarray    # int_0^h K1
+    w1: np.ndarray    # (1/h) int_0^h s K1(s) ds
+    w0t: np.ndarray   # int_0^h dK1 = K1(h)
+    w1t: np.ndarray   # (1/h) int_0^h s dK1(s) ds = K1(h) - w0/h
 
 
 def duhamel_weights(params: OperatorParams, h: float, r) -> DuhamelWeights:
-    """Closed-form moments of the velocity kernel over a step of size h > 0.
+    """Closed-form moments of the velocity kernel over a step of size h > 0,
+    at radii r (a scalar r gives arrays of shape (1,)).
 
     At r = 0 the expressions reduce to the limits of (e^{lambda h}-1)/lambda
     type quantities as lambda -> 0; the divided-difference path takes those
@@ -322,7 +321,6 @@ def duhamel_weights(params: OperatorParams, h: float, r) -> DuhamelWeights:
     if not h > 0:
         raise ValueError("step size h must be positive")
     r_arr = np.atleast_1d(np.asarray(r, float))
-    scalar = np.ndim(r) == 0
 
     m = symbol(params, r_arr)
     sd = np.sqrt((1.0 - 4.0 * m).astype(complex))
@@ -351,6 +349,4 @@ def duhamel_weights(params: OperatorParams, h: float, r) -> DuhamelWeights:
     w1 = (h * h) * ddp.real
     w0t = kernel_eval(params, h, r_arr).k1
     w1t = w0t - w0 / h
-    if scalar:
-        return DuhamelWeights(float(w0[0]), float(w1[0]), float(w0t[0]), float(w1t[0]))
     return DuhamelWeights(w0, w1, w0t, w1t)

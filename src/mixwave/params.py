@@ -47,10 +47,6 @@ class OperatorParams:
         return min(1.0, self.sigma)
 
     @property
-    def sigma_max(self) -> float:
-        return max(1.0, self.sigma)
-
-    @property
     def p_crit(self) -> float:
         """Critical nonlinearity power separating blow-up from global existence."""
         return 1.0 + 2.0 * self.sigma_min / self.n
@@ -68,8 +64,7 @@ def symbol(params: OperatorParams, r):
     r = np.asarray(r, dtype=float)
     if (r < 0).any():
         raise ValueError("radial frequency must be nonnegative")
-    m = params.a * r**2 + params.b * r ** (2.0 * params.sigma)
-    return m if m.ndim else float(m)
+    return params.a * r**2 + params.b * r ** (2.0 * params.sigma)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import kernel_eval, profile_hat
-from .params import OperatorParams
+from .params import OperatorParams, symbol
 
 
 def surface_area(n: int) -> float:
@@ -169,10 +169,8 @@ def radial_integral(f: Callable[[np.ndarray], np.ndarray],
 
 def kernel_phase(params: OperatorParams, t: float):
     """Oscillation-phase estimate t*omega(r) of the kernels at time t."""
-    from .params import symbol
-
     def phase(r):
-        m = np.asarray(symbol(params, r), float)
+        m = symbol(params, r)
         return t * 0.5 * np.sqrt(np.maximum(4.0 * m - 1.0, 0.0))
 
     return phase
@@ -191,7 +189,7 @@ def hs_norm(params: OperatorParams, multiplier: Callable, datum: RadialDatum,
     n = params.n
 
     def product(r):
-        return np.asarray(multiplier(t, r), float) * np.asarray(datum.profile(r), float)
+        return multiplier(t, r) * datum.profile(r)
 
     def f(r):
         return r ** (2.0 * s + n - 1.0) * product(r) ** 2
@@ -216,9 +214,7 @@ def profile_error(params: OperatorParams, datum0: RadialDatum, datum1: RadialDat
     def diff(r):
         kv = kernel_eval(params, t, r)
         g = profile_hat(params, t, r)
-        return (np.asarray(kv.k0, float) * np.asarray(datum0.profile(r), float)
-                + np.asarray(kv.k1, float) * np.asarray(datum1.profile(r), float)
-                - const * np.asarray(g, float))
+        return kv.k0 * datum0.profile(r) + kv.k1 * datum1.profile(r) - const * g
 
     def f(r):
         return r ** (2.0 * s + n - 1.0) * diff(r) ** 2
@@ -228,9 +224,8 @@ def profile_error(params: OperatorParams, datum0: RadialDatum, datum1: RadialDat
         # so cancellation cannot hide the support
         kv = kernel_eval(params, t, r)
         g = profile_hat(params, t, r)
-        return (np.abs(np.asarray(kv.k0, float) * datum0.profile(r))
-                + np.abs(np.asarray(kv.k1, float) * datum1.profile(r))
-                + abs(const) * np.asarray(g, float))
+        return (np.abs(kv.k0 * datum0.profile(r)) + np.abs(kv.k1 * datum1.profile(r))
+                + abs(const) * g)
 
     val = radial_integral(f, amplitude=amp, phase=kernel_phase(params, t))
     return math.sqrt(surface_area(n) * max(val, 0.0))

@@ -16,6 +16,12 @@ perfbench/.  A call matches by the callee's name, as a reference does above.
 PARAMETER_ORACLES lists the knobs that only the tests turn, each because a
 test uses it as an oracle.
 
+The same holds for class members: every field, property and method of a
+class in src/mixwave, and every attribute a method sets on self, must be read
+as an attribute (obj.member, matched by name) somewhere in src/mixwave or
+perfbench/; dunder members, which the language calls, do not count.  MEMBER_ORACLES lists the
+members that only the tests read, each with its reason.
+
 No module under tests/ or perfbench/ imports a name it never references.
 
 scipy is a test dependency only: no module of src/mixwave loads it, checked
@@ -39,6 +45,18 @@ PARAMETER_ORACLES = {
     "radial.QuadratureSpec(panel_order)": "the panel-order doubling test",
     "radial.QuadratureSpec(r_max)": "criterion 2: the incomplete-gamma oracle",
     "radial.gaussian_datum(mass)": "the mass-convention tests",
+}
+MEMBER_ORACLES = {
+    "blowup.FracLapReport.field_inner": "the closed-form fractional Laplacian tests",
+    "blowup.FracLapReport.x_inner": "the closed-form fractional Laplacian tests",
+    "experiments.SlopeFit.window": "the tests that pin the window of the decay fit",
+    "kernels.DuhamelWeights.w0t": "deleting it changes the kernel_eval count the "
+                                  "benchmark ledger pins",
+    "kernels.DuhamelWeights.w1t": "deleting it changes the kernel_eval count the "
+                                  "benchmark ledger pins",
+    "evolve.SolutionArchive.eps": "perfbench/workloads.py passes run(eps=)",
+    "radial.QuadratureError.estimate": "the unresolved-integrand test reads the "
+                                       "achieved error from the exception",
 }
 
 
@@ -162,6 +180,39 @@ def unpassed_parameters():
     return sorted(missing)
 
 
+def _class_members(cls):
+    """Names of a class's fields, properties, methods and self attributes,
+    dunders aside."""
+    members = set()
+    for stmt in cls.body:
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            members.add(stmt.target.id)
+        elif isinstance(stmt, ast.Assign):
+            members.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
+        elif isinstance(stmt, ast.FunctionDef):
+            members.add(stmt.name)
+            members.update(sub.attr for sub in ast.walk(stmt)
+                           if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                           and getattr(sub.value, "id", None) == "self")
+    return {m for m in members if not (m.startswith("__") and m.endswith("__"))}
+
+
+def unread_members():
+    """Sorted 'module.Class.member' of the class members that nothing in
+    src/mixwave or perfbench/ reads as an attribute."""
+    read = set()
+    classes = []        # (module stem, class node)
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        read |= {sub.attr for sub in ast.walk(tree)
+                 if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+        if path.parent == PACKAGE:
+            classes += [(path.stem, node) for node in ast.walk(tree)
+                        if isinstance(node, ast.ClassDef)]
+    return sorted(f"{stem}.{cls.name}.{member}" for stem, cls in classes
+                  for member in _class_members(cls) if member not in read)
+
+
 def _import_bindings(node):
     """Names that an import statement binds; none for other nodes."""
     if not isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -204,6 +255,13 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
     assert [u for u in unpassed if u not in PARAMETER_ORACLES] == []
     # an oracle knob that some caller now passes leaves the list
     assert [k for k in PARAMETER_ORACLES if k not in unpassed] == []
+
+
+def test_every_class_member_is_read_outside_the_tests():
+    unread = unread_members()
+    assert [m for m in unread if m not in MEMBER_ORACLES] == []
+    # a member that some program code now reads leaves the list
+    assert [m for m in MEMBER_ORACLES if m not in unread] == []
 
 
 def test_package_namespace_is_empty():

@@ -128,7 +128,7 @@ class TestFunctionals:
     def test_zero_solution_gives_zero_functionals(self):
         grid = Grid(1, 256, 20.0)
         z = np.zeros(grid.N)
-        arc = SolutionArchive(grid, P, 1.5, 0.0, z, z,
+        arc = SolutionArchive(grid, P, 0.0, z, z,
                               times=[0.0, 1.0, 2.0, 3.0, 4.0],
                               fields=[z, z, z, z, z])
         rep = evaluate_functionals(arc, TestFunctions(0.5, make_eta(1.5), 1.5), 1.5)
@@ -165,14 +165,14 @@ class TestFunctionals:
             return np.exp(-((x / 6.0) ** 2)) / (1.0 + t)
 
         times = list(np.linspace(0.0, 4.2, 43))
-        arc = SolutionArchive(grid, P, 1.5, 1.0,
+        arc = SolutionArchive(grid, P, 1.0,
                               u_exact(0.0, grid.x), 0.0 * grid.x,
                               times=times,
                               fields=[u_exact(t, grid.x) for t in times])
         # rescaled solution on the shrunken grid: v(t~, x~) = u(R^2smin t~, K R x~)
         grid2 = Grid(1, 512, 40.0 / (K * R))
         times2 = list(np.linspace(0.0, 4.2 / R ** (2 * smin), 43))
-        arc2 = SolutionArchive(grid2, P, 1.5, 1.0,
+        arc2 = SolutionArchive(grid2, P, 1.0,
                                u_exact(0.0, K * R * grid2.x), 0.0 * grid2.x,
                                times=times2,
                                fields=[u_exact(R ** (2 * smin) * t, K * R * grid2.x)
@@ -279,14 +279,14 @@ class TestScalingSweep:
         radii = np.geomspace(r_hi / math.sqrt(10), r_hi, 7)
         sweep = scaling_sweep(arc, eta, radii, 1.5)
         for r, rep in zip(sweep.radii, sweep.reports):
-            fresh = SolutionArchive(arc.grid, arc.params, arc.p, arc.eps, arc.u0, arc.u1,
+            fresh = SolutionArchive(arc.grid, arc.params, arc.eps, arc.u0, arc.u1,
                                     times=list(arc.times), fields=list(arc.fields))
             assert evaluate_functionals(fresh, TestFunctions(0.5, eta, r), 1.5) == rep
 
     def test_interpolant_rebuilt_after_append(self):
         grid = Grid(1, 64, 10.0)
         z = np.zeros(grid.N)
-        arc = SolutionArchive(grid, P, 1.5, 0.0, z, z, times=[0.0, 1.0, 2.0],
+        arc = SolutionArchive(grid, P, 0.0, z, z, times=[0.0, 1.0, 2.0],
                               fields=[z, z + 1.0, z + 4.0])
         spline = _interpolant(arc)
         assert _interpolant(arc) is spline
@@ -318,7 +318,7 @@ class TestScalingSweep:
         grid = Grid(1, 256, 20.0)
         z = np.zeros(grid.N)
         times = list(np.linspace(0.0, 8.0, 33))
-        arc = SolutionArchive(grid, P, 1.5, 0.0, z, z, times=times,
+        arc = SolutionArchive(grid, P, 0.0, z, z, times=times,
                               fields=[z for _ in times])
         with pytest.raises(ValueError, match="inconclusive"):
             scaling_sweep(arc, make_eta(1.5), [1.0, 2.0, 4.0], 1.5)

@@ -118,6 +118,7 @@ class TestConfigResolution:
         ("solve", "--dt-max", "0", "out-of-range key 'dt_max': must be positive, got 0.0"),
         ("solve", "--safety", "0", "out-of-range key 'safety': must be in (0, 1], got 0.0"),
         ("solve", "--safety", "1.5", "out-of-range key 'safety'"),
+        ("kernels", "--seed", "-1", "out-of-range key 'seed'"),
     ])
     def test_list_and_width_ranges_exit_2(self, tmp_path, capsys, command, flag, raw,
                                           message):

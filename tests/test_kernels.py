@@ -218,21 +218,21 @@ class TestDuhamelWeights:
     @pytest.mark.parametrize("h", [0.005, 0.05, 0.7])
     def test_matches_adaptive_quadrature(self, r, h):
         w = duhamel_weights(P, h, r)
-        q0 = quad(lambda s: kernel_eval(P, s, r).k1, 0.0, h,
+        q0 = quad(lambda s: kernel_eval(P, s, r).k1[0], 0.0, h,
                   epsabs=1e-15, epsrel=1e-13)[0]
-        q1 = quad(lambda s: s * kernel_eval(P, s, r).k1, 0.0, h,
+        q1 = quad(lambda s: s * kernel_eval(P, s, r).k1[0], 0.0, h,
                   epsabs=1e-16, epsrel=1e-13)[0] / h
-        assert w.w0 == pytest.approx(q0, rel=1e-10)
-        assert w.w1 == pytest.approx(q1, rel=1e-10)
+        assert w.w0[0] == pytest.approx(q0, rel=1e-10)
+        assert w.w1[0] == pytest.approx(q1, rel=1e-10)
 
     def test_velocity_moments(self):
         for r in (0.0, 0.4, 5.0):
             h = 0.2
             w = duhamel_weights(P, h, r)
-            assert w.w0t == pytest.approx(kernel_eval(P, h, r).k1, rel=1e-12)
-            q = quad(lambda s: s * kernel_eval(P, s, r).dk1, 0.0, h,
+            assert w.w0t[0] == pytest.approx(kernel_eval(P, h, r).k1[0], rel=1e-12)
+            q = quad(lambda s: s * kernel_eval(P, s, r).dk1[0], 0.0, h,
                      epsabs=1e-16, epsrel=1e-13)[0] / h
-            assert w.w1t == pytest.approx(q, rel=1e-9, abs=1e-14)
+            assert w.w1t[0] == pytest.approx(q, rel=1e-9, abs=1e-14)
 
     def test_h_nonpositive_rejected(self):
         with pytest.raises(ValueError):

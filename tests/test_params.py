@@ -7,12 +7,10 @@ from mixwave.params import OperatorParams, exponents, symbol, theorem_hypotheses
 def test_valid_params_and_derived():
     p = OperatorParams(1.0, 1.0, 0.5, 1)
     assert p.sigma_min == 0.5
-    assert p.sigma_max == 1.0
-    assert p.sigma_min * p.sigma_max == p.sigma
     assert p.p_crit == 2.0
 
     q = OperatorParams(2.0, 3.0, 1.5, 2)
-    assert q.sigma_min == 1.0 and q.sigma_max == 1.5
+    assert q.sigma_min == 1.0
     assert q.p_crit == 2.0
 
 
