@@ -1,8 +1,10 @@
 """Command-line entry point: config parsing, scenario dispatch, artifacts.
 
-Configuration is a flat key=value file plus flags (flags win).  Every JSON
-summary embeds the fully resolved configuration, and identical (config, seed)
-pairs produce byte-identical outputs.
+Configuration is a flat key=value file plus flags (flags win).  Each command
+in COMMANDS declares the keys it reads besides COMMON_KEYS; setting any other
+key is a config error.  Every JSON summary embeds the fully resolved
+configuration, and identical (config, seed) pairs produce byte-identical
+outputs.
 
 Exit codes: 0 pass, 1 quantitative-target failure, 2 execution/config error.
 """
@@ -36,12 +38,9 @@ from .params import OperatorParams, exponents, symbol, theorem_hypotheses
 from .radial import QuadratureError
 from .torus import Grid, read_snapshot, write_slice_csv, write_snapshot
 
-COMMANDS = ("kernels", "linear-decay", "profile", "solve", "lifespan-sweep",
-            "blowup-functional", "fraclap-check", "exponents")
-
-# key: (type, default, help)
+# key: (type, default, help); the keys without a default are required
 CONFIG_KEYS = {
-    "command": (str, None, "one of " + ", ".join(COMMANDS)),
+    "command": (str, None, "the command to run"),
     "a": (float, None, "local diffusivity (> 0)"),
     "b": (float, None, "nonlocal diffusivity (> 0)"),
     "sigma": (float, None, "fractional order, positive, != 1"),
@@ -63,10 +62,10 @@ CONFIG_KEYS = {
     "r_list": (str, "", "comma-separated radii for the functional sweep"),
     "k_scale": (float, 1.0, "spatial stretch K of the weight"),
     "l_eval": (float, 1280.0, "evaluation window for fraclap-check"),
-    "seed": (int, 0, "recorded for reproducibility"),
+    "seed": (int, 0, "seed of the random samples (kernels)"),
     "out": (str, "out", "output directory"),
 }
-REQUIRED = ("command", "a", "b", "sigma", "n")
+COMMON_KEYS = ("command", "a", "b", "sigma", "n", "out")
 
 
 class ConfigError(ValueError):
@@ -133,25 +132,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(argv) -> dict:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
-    values = {k: v for k, (_, v, _) in CONFIG_KEYS.items() if v is not None}
-    if ns.config:
-        values.update(read_config_file(ns.config))
-    if ns.command:
-        values["command"] = ns.command
+    ns = build_parser().parse_args(argv)
+    given = read_config_file(ns.config) if ns.config else {}
     for key in CONFIG_KEYS:
-        if key == "command":
-            continue
         raw = getattr(ns, key)
         if raw is not None:
-            values[key] = raw if isinstance(raw, bool) else _parse_value(key, str(raw))
-    for key in REQUIRED:
-        if key not in values or values[key] is None:
+            given[key] = raw if isinstance(raw, bool) else _parse_value(key, raw)
+    values = {k: v for k, (_, v, _) in CONFIG_KEYS.items() if v is not None} | given
+    for key, (_, default, _) in CONFIG_KEYS.items():
+        if default is None and key not in values:
             raise ConfigError(f"missing required key '{key}'")
-    if values["command"] not in COMMANDS:
-        raise ConfigError(f"unknown command '{values['command']}'")
+    command = values["command"]
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command '{command}'")
     validate_ranges(values)
+    for key in given:
+        if key not in COMMON_KEYS + COMMANDS[command][2]:
+            raise ConfigError(f"key '{key}' is not read by command '{command}'")
     return values
 
 
@@ -194,27 +191,20 @@ def _floats(csv_text: str) -> list[float]:
     return [float(tok) for tok in csv_text.split(",") if tok.strip()]
 
 
-def _params(cfg) -> OperatorParams:
-    return OperatorParams(cfg["a"], cfg["b"], cfg["sigma"], cfg["n"])
-
-
-def _banner(params: OperatorParams, p: float) -> list[str]:
-    notes = theorem_hypotheses(params, p)
-    for note in notes:
+def _banner(params: OperatorParams, p: float) -> None:
+    for note in theorem_hypotheses(params, p):
         print(f"[outside theorem hypotheses] {note}")
-    return notes
 
 
-def _summary(cfg: dict, extra: dict) -> dict:
-    payload = {"config": dict(sorted(cfg.items()))}
-    payload.update(extra)
-    return payload
+def _grid(cfg) -> Grid:
+    return Grid(cfg["n"], cfg["grid_n"], cfg["box_l"])
 
 
 # --- command implementations -------------------------------------------------
+# Each takes (cfg, params, out), writes its CSV and plot files into out, prints
+# its line and returns (summary payload, passed); main writes the summary.
 
-def cmd_exponents(cfg, out) -> int:
-    params = _params(cfg)
+def cmd_exponents(cfg, params, out) -> tuple[dict, bool]:
     results = []
     for s in _floats(cfg["s_list"]):
         rep = exponents(params, s, cfg["p"])
@@ -229,13 +219,10 @@ def cmd_exponents(cfg, out) -> int:
         life = "undefined" if rep.lifespan_exp is None else f"{rep.lifespan_exp!r}"
         print(f"s={s}: p_crit={rep.p_crit!r} decay_exp={rep.decay_exp!r} "
               f"alpha_min={rep.alpha_min!r} lifespan_exp={life}")
-    io.write_json(os.path.join(out, "exponents.json"),
-                  _summary(cfg, {"exponents": results}))
-    return 0
+    return {"exponents": results}, True
 
 
-def cmd_kernels(cfg, out) -> int:
-    params = _params(cfg)
+def cmd_kernels(cfg, params, out) -> tuple[dict, bool]:
     rng = np.random.default_rng(cfg["seed"])
     t = 10.0 ** rng.uniform(-2, 3, 2000)
     r = 10.0 ** rng.uniform(-6, 2, 2000)
@@ -251,13 +238,11 @@ def cmd_kernels(cfg, out) -> int:
               "identity_residual_dk0": float(res2.max()),
               "samples": int(t.size),
               "pass": passed, "margins": {"kernel_identity": margin}}
-    io.write_json(os.path.join(out, "kernel_report.json"), _summary(cfg, report))
     print(f"kernel identity residuals: {res1.max():.3e}, {res2.max():.3e}")
-    return 0 if report["pass"] else 1
+    return report, passed
 
 
-def cmd_linear_decay(cfg, out) -> int:
-    params = _params(cfg)
+def cmd_linear_decay(cfg, params, out) -> tuple[dict, bool]:
     s_list = _floats(cfg["s_list"])
     rep = decay_experiment(params, s_list=s_list, mode="radial",
                            datum_width=cfg["width"])
@@ -280,17 +265,13 @@ def cmd_linear_decay(cfg, out) -> int:
                      "pass": passed, "margins": {name: margin}})
         print(f"s={f.s}: slope={f.slope:.4f} target={f.target} "
               f"|dev|={f.deviation:.4f} -> {'pass' if passed else 'FAIL'}")
-    io.write_json(os.path.join(out, "linear_decay.json"),
-                  _summary(cfg, {"fits": fits, "pass": ok}))
-    return 0 if ok else 1
+    return {"fits": fits, "pass": ok}, ok
 
 
-def cmd_profile(cfg, out) -> int:
-    params = _params(cfg)
+def cmd_profile(cfg, params, out) -> tuple[dict, bool]:
     _banner(params, cfg["p"])
-    grid = Grid(cfg["n"], cfg["grid_n"], cfg["box_l"])
     rep = profile_experiment(params, p=cfg["p"], eps=cfg["eps"],
-                             horizon=cfg["t_end"], grid=grid,
+                             horizon=cfg["t_end"], grid=_grid(cfg),
                              dt_max=cfg["dt_max"], datum_width=cfg["width"],
                              linear_only=cfg["linear"])
     io.write_csv(os.path.join(out, "profile_error.csv"), ["t", "scaled_error"],
@@ -308,15 +289,13 @@ def cmd_profile(cfg, out) -> int:
         "l2_slope": rep.l2_fit.slope if rep.l2_fit else None,
         "l2_target": rep.l2_fit.target if rep.l2_fit else None,
     }
-    io.write_json(os.path.join(out, "profile.json"), _summary(cfg, payload))
     print(f"theta={rep.theta!r} ratio={rep.ratio!r} -> {'pass' if ratio_ok else 'FAIL'}")
-    return 0 if ratio_ok else 1
+    return payload, ratio_ok
 
 
-def cmd_solve(cfg, out) -> int:
-    params = _params(cfg)
+def cmd_solve(cfg, params, out) -> tuple[dict, bool]:
     _banner(params, cfg["p"])
-    grid = Grid(cfg["n"], cfg["grid_n"], cfg["box_l"])
+    grid = _grid(cfg)
     state, u0, u1 = initial_state(grid, eps=cfg["eps"], width=cfg["width"])
     ctrl = StepControl(t_end=cfg["t_end"], dt_max=cfg["dt_max"],
                        safety=cfg["safety"], blowup_threshold=cfg["threshold"],
@@ -334,7 +313,6 @@ def cmd_solve(cfg, out) -> int:
         "initial_mass": outcome.mass.initial_mass,
         "nonlinear_mass": outcome.mass.nonlinear_mass,
     }
-    io.write_json(os.path.join(out, "run.json"), _summary(cfg, payload))
     if cfg["snapshots"] and outcome.archive is not None:
         arc = outcome.archive
         write_snapshot(os.path.join(out, "data_u0.bin"), grid, 0.0, arc.u0)
@@ -344,15 +322,13 @@ def cmd_solve(cfg, out) -> int:
         write_slice_csv(os.path.join(out, "final_slice.csv"), grid,
                         arc.times[-1], arc.fields[-1])
     print(f"status={outcome.status.value} t_final={outcome.t_final!r}")
-    return 0
+    return payload, True
 
 
-def cmd_lifespan(cfg, out) -> int:
-    params = _params(cfg)
+def cmd_lifespan(cfg, params, out) -> tuple[dict, bool]:
     _banner(params, cfg["p"])
     eps_list = _floats(cfg["eps_list"])
-    grid = Grid(cfg["n"], cfg["grid_n"], cfg["box_l"])
-    rep = lifespan_sweep(params, cfg["p"], eps_list, grid, dt_max=cfg["dt_max"],
+    rep = lifespan_sweep(params, cfg["p"], eps_list, _grid(cfg), dt_max=cfg["dt_max"],
                          t_cap=cfg["t_end"], threshold=cfg["threshold"])
     rows = [(r.epsilon,
              r.t_blowup if r.t_blowup is not None else "nan",
@@ -365,33 +341,28 @@ def cmd_lifespan(cfg, out) -> int:
     io.write_plot_data(os.path.join(out, "lifespan.dat"),
                        [e for e, _ in usable], [t for _, t in usable],
                        comment="eps vs blow-up time")
-    if rep.slope is not None:
-        passed, margin = gate("lifespan_slope", rep.slope, rep.target)
-        payload = {"slope": rep.slope, "target": rep.target, "pass": passed,
-                   "tolerance": GATES["lifespan_slope"][1], "margins": {"lifespan_slope": margin},
-                   "hypothesis_notes": rep.hypothesis_notes}
-        print(f"lifespan slope {rep.slope:.4f} target {rep.target} -> "
-              f"{'pass' if passed else 'FAIL'}")
-    else:
-        payload = {"critical_fit_slope": rep.critical_fit.slope if rep.critical_fit else None,
-                   "critical_fit_intercept": rep.critical_fit.intercept if rep.critical_fit else None,
-                   "linear_residual": rep.linear_residual,
-                   "pass": True,      # exploratory: no gate in the critical case
-                   "hypothesis_notes": rep.hypothesis_notes}
+    if rep.slope is None:
         print(f"critical-case linear fit residual {rep.linear_residual!r} (exploratory)")
-        passed = True
-    io.write_json(os.path.join(out, "lifespan.json"), _summary(cfg, payload))
-    return 0 if passed else 1
+        return {"critical_fit_slope": rep.critical_fit.slope if rep.critical_fit else None,
+                "critical_fit_intercept": rep.critical_fit.intercept if rep.critical_fit else None,
+                "linear_residual": rep.linear_residual,
+                "pass": True,      # exploratory: no gate in the critical case
+                "hypothesis_notes": rep.hypothesis_notes}, True
+    passed, margin = gate("lifespan_slope", rep.slope, rep.target)
+    print(f"lifespan slope {rep.slope:.4f} target {rep.target} -> "
+          f"{'pass' if passed else 'FAIL'}")
+    return {"slope": rep.slope, "target": rep.target, "pass": passed,
+            "tolerance": GATES["lifespan_slope"][1], "margins": {"lifespan_slope": margin},
+            "hypothesis_notes": rep.hypothesis_notes}, passed
 
 
-def _load_archive(cfg) -> SolutionArchive:
+def _load_archive(cfg, params) -> SolutionArchive:
     direc = cfg["snapshots_dir"]
     names = sorted(fn for fn in os.listdir(direc) if fn.startswith("snap_"))
     if not names:
         raise ConfigError(f"no snap_*.bin files in '{direc}'")
     grid0, _, u0 = read_snapshot(os.path.join(direc, "data_u0.bin"))
     _, _, u1 = read_snapshot(os.path.join(direc, "data_u1.bin"))
-    params = _params(cfg)
     arc = SolutionArchive(grid0, params, cfg["eps"], u0, u1)
     for fn in names:
         grid, t, u = read_snapshot(os.path.join(direc, fn))
@@ -402,15 +373,13 @@ def _load_archive(cfg) -> SolutionArchive:
     return arc
 
 
-def cmd_blowup_functional(cfg, out) -> int:
-    params = _params(cfg)
+def cmd_blowup_functional(cfg, params, out) -> tuple[dict, bool]:
     _banner(params, cfg["p"])
     if cfg["snapshots_dir"]:
-        arc = _load_archive(cfg)
+        arc = _load_archive(cfg, params)
         t_max = arc.times[-1]
     else:
-        grid = Grid(cfg["n"], cfg["grid_n"], cfg["box_l"])
-        state, u0, u1 = initial_state(grid, eps=cfg["eps"], width=cfg["width"])
+        state, u0, u1 = initial_state(_grid(cfg), eps=cfg["eps"], width=cfg["width"])
         ctrl = StepControl(t_end=cfg["t_end"], dt_max=min(cfg["dt_max"], 0.02),
                            blowup_threshold=cfg["threshold"],
                            record_t0=0.02, record_ratio=1.04, snapshots=True)
@@ -429,6 +398,7 @@ def cmd_blowup_functional(cfg, out) -> int:
     j4_ok, margin = gate("j4_exponent", sweep.exponents["j4"], sweep.targets["j4"])
     _, slack = GATES["j_tilde_slack"]
     tilde_ok = all(rep.j_r_tilde <= rep.j_r * (1 + slack) for rep in sweep.reports)
+    passed = j4_ok and tilde_ok
     payload = {
         "radii": sweep.radii,
         "exponents": sweep.exponents,
@@ -442,17 +412,15 @@ def cmd_blowup_functional(cfg, out) -> int:
              "terms": list(rep.terms), "data_term": rep.data_term,
              "identity_residual": rep.identity_residual}
             for r, rep in zip(sweep.radii, sweep.reports)],
-        "pass": j4_ok and tilde_ok,
+        "pass": passed,
         "margins": {"j4_exponent": margin},
     }
-    io.write_json(os.path.join(out, "blowup_functional.json"), _summary(cfg, payload))
     print(f"j4 exponent {sweep.exponents['j4']:.4f} target {sweep.targets['j4']:.4f} "
-          f"-> {'pass' if payload['pass'] else 'FAIL'}")
-    return 0 if payload["pass"] else 1
+          f"-> {'pass' if passed else 'FAIL'}")
+    return payload, passed
 
 
-def cmd_fraclap(cfg, out) -> int:
-    params = _params(cfg)
+def cmd_fraclap(cfg, params, out) -> tuple[dict, bool]:
     s0 = default_sigma0(params.sigma)
     r1 = frac_lap_phi(params.sigma, s0, L_eval=cfg["l_eval"])
     r2 = frac_lap_phi(params.sigma, s0, L_eval=2.0 * cfg["l_eval"])
@@ -461,21 +429,28 @@ def cmd_fraclap(cfg, out) -> int:
     payload = {"sigma0": s0, "ratio_sup": r1.ratio_sup,
                "ratio_sup_doubled": r2.ratio_sup, "relative_change": rel,
                "pass": passed, "margins": {"fraclap_change": margin}}
-    io.write_json(os.path.join(out, "fraclap.json"), _summary(cfg, payload))
     print(f"ratio sup {r1.ratio_sup!r}, doubled-domain change {rel:.3%} -> "
-          f"{'pass' if payload['pass'] else 'FAIL'}")
-    return 0 if payload["pass"] else 1
+          f"{'pass' if passed else 'FAIL'}")
+    return payload, passed
 
 
-DISPATCH = {
-    "exponents": cmd_exponents,
-    "kernels": cmd_kernels,
-    "linear-decay": cmd_linear_decay,
-    "profile": cmd_profile,
-    "solve": cmd_solve,
-    "lifespan-sweep": cmd_lifespan,
-    "blowup-functional": cmd_blowup_functional,
-    "fraclap-check": cmd_fraclap,
+# name: (command function, summary file, keys it reads besides COMMON_KEYS)
+COMMANDS = {
+    "kernels": (cmd_kernels, "kernel_report.json", ("seed",)),
+    "linear-decay": (cmd_linear_decay, "linear_decay.json", ("s_list", "width")),
+    "profile": (cmd_profile, "profile.json",
+                ("p", "eps", "grid_n", "box_l", "t_end", "dt_max", "width", "linear")),
+    "solve": (cmd_solve, "run.json",
+              ("p", "eps", "grid_n", "box_l", "t_end", "dt_max", "safety", "threshold",
+               "width", "linear", "snapshots")),
+    "lifespan-sweep": (cmd_lifespan, "lifespan.json",
+                       ("p", "eps_list", "grid_n", "box_l", "t_end", "dt_max",
+                        "threshold")),
+    "blowup-functional": (cmd_blowup_functional, "blowup_functional.json",
+                          ("p", "eps", "snapshots_dir", "grid_n", "box_l", "t_end",
+                           "dt_max", "threshold", "width", "r_list", "k_scale")),
+    "fraclap-check": (cmd_fraclap, "fraclap.json", ("l_eval",)),
+    "exponents": (cmd_exponents, "exponents.json", ("p", "s_list")),
 }
 
 
@@ -485,15 +460,20 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out = io.ensure_dir(cfg["out"])
+    command, summary, _ = COMMANDS[cfg["command"]]
     try:
-        return DISPATCH[cfg["command"]](cfg, out)
+        params = OperatorParams(cfg["a"], cfg["b"], cfg["sigma"], cfg["n"])
+        out = io.ensure_dir(cfg["out"])
+        payload, passed = command(cfg, params, out)
+        io.write_json(os.path.join(out, summary),
+                      {"config": dict(sorted(cfg.items())), **payload})
     except (ConfigError, ExperimentInvalid, QuadratureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -231,10 +231,10 @@ def lifespan_sweep(params: OperatorParams, p: float, eps_list, grid: Grid,
         raise ValueError("eps_list must contain at least two values")
     if eps[-1] / eps[0] < 10.0 * (1 - 1e-9):
         raise ValueError("eps_list must span at least one decade")
-    if p > params.p_crit and not math.isclose(p, params.p_crit, rel_tol=1e-12):
+    rep = exponents(params, 0.0, p)
+    if p > params.p_crit and not rep.is_critical:
         raise ValueError(f"lifespan sweep needs p <= p_crit = {params.p_crit}")
 
-    critical = math.isclose(p, params.p_crit, rel_tol=1e-12)
     records: list[LifespanRecord] = []
     horizon = resolution_horizon(params, grid.L)
     for e in eps:
@@ -243,7 +243,7 @@ def lifespan_sweep(params: OperatorParams, p: float, eps_list, grid: Grid,
         # the exploratory sweep stops at the configured threshold without
         # pushing on to the 1e8 band edge
         ctrl = StepControl(t_end=min(t_cap, horizon), dt_max=dt_max,
-                           blowup_threshold=threshold, track_band=not critical,
+                           blowup_threshold=threshold, track_band=not rep.is_critical,
                            record_t0=1.0, record_ratio=1.3)
         out = run(params, state, ctrl, p=p, eps=e, u0=u0, u1=u1)
         if out.status is not RunStatus.BLEW_UP:
@@ -254,7 +254,6 @@ def lifespan_sweep(params: OperatorParams, p: float, eps_list, grid: Grid,
         records.append(LifespanRecord(e, out.t_final, band))
 
     usable = [(r.epsilon, r.t_blowup) for r in records if r.t_blowup is not None]
-    rep = exponents(params, 0.0, p)
     if rep.is_critical:
         xs = [e ** (-(p - 1.0)) for e, _ in usable]
         ys = [math.log(t) for _, t in usable]

@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -129,6 +131,30 @@ class TestConfigResolution:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, key, raw", [
+        ("exponents", "t_end", "5"),
+        ("kernels", "p", "2"),
+        ("linear-decay", "eps", "0.5"),
+        ("profile", "seed", "3"),
+        ("solve", "r_list", "2,5"),
+        ("lifespan-sweep", "width", "3"),
+        ("blowup-functional", "s_list", "0.1"),
+        ("fraclap-check", "grid_n", "64"),      # set in the config file
+    ])
+    def test_key_the_command_does_not_read_exits_2(self, tmp_path, capsys, command,
+                                                   key, raw):
+        # such a key used to run at its default and be recorded with the set value
+        argv = [command, "--a", "1", "--b", "1", "--sigma", "0.5", "--n", "1",
+                "--out", str(tmp_path / "o")]
+        if command == "fraclap-check":
+            (tmp_path / "run.cfg").write_text(f"{key} = {raw}\n")
+            argv.append(f"--config={tmp_path / 'run.cfg'}")
+        else:
+            argv.append(f"--{key.replace('_', '-')}={raw}")
+        assert run_cli(argv) == 2
+        assert f"key '{key}' is not read by command '{command}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("eps", ["1e7", "1e300"])
     def test_data_over_threshold_exit_2(self, tmp_path, capsys, eps):
         # data already at the threshold are an input error, not a blow-up at t = 0
@@ -157,6 +183,28 @@ _CONFIG_BYTES = hst.one_of(
         lambda kv: "\n".join(f"{k} = {v}" for k, v in kv).encode("utf-8", "replace")))
 
 
+def _cfg_keys(name, defs):
+    """The cfg["..."] keys that function `name` of cli.py reads, with those of
+    the cli.py functions it passes cfg to."""
+    keys = set()
+    for sub in ast.walk(defs[name]):
+        if (isinstance(sub, ast.Subscript) and getattr(sub.value, "id", None) == "cfg"
+                and isinstance(sub.slice, ast.Constant)):
+            keys.add(sub.slice.value)
+        elif (isinstance(sub, ast.Call) and getattr(sub.func, "id", None) in defs
+              and any(getattr(arg, "id", None) == "cfg" for arg in sub.args)):
+            keys |= _cfg_keys(sub.func.id, defs)
+    return keys
+
+
+def test_each_command_declares_exactly_the_keys_it_reads():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name, (command, _, keys) in cli.COMMANDS.items():
+        read = _cfg_keys(command.__name__, defs) - set(cli.COMMON_KEYS)
+        assert len(set(keys)) == len(keys) and set(keys) == read, name
+
+
 class TestResolveConfigProperties:
     """Random flag values and config-file bytes end in a ConfigError or in
     argparse's usage error, never in another exception."""
@@ -167,7 +215,7 @@ class TestResolveConfigProperties:
     def test_random_input_raises_only_config_errors(self, tmp_path, data):
         argv = []
         command = data.draw(hst.one_of(
-            hst.none(), hst.sampled_from(cli.COMMANDS),
+            hst.none(), hst.sampled_from(tuple(cli.COMMANDS)),
             hst.text(max_size=12).filter(lambda s: not s.startswith("-"))))
         if command is not None:
             argv.append(command)
@@ -215,6 +263,15 @@ class TestCommands:
                         "--n", "1", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "sigma excluded" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", [(), ("sub",)])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, below):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        code = run_cli(["exponents", "--a", "1", "--b", "1", "--sigma", "0.5",
+                        "--n", "1", "--out", str(blocker.joinpath(*below))])
+        assert code == 2
+        assert "io error" in capsys.readouterr().err
 
     def test_kernels_smoke(self, tmp_path):
         out = tmp_path / "k"
