@@ -157,12 +157,21 @@ def frac_lap_phi(sigma: float, sigma0: float, L_eval: float,
             "increase L_eval")
     N = 1 << int(math.ceil(math.log2(max(64, 2 * L_big * points_per_unit))))
     grid = Grid(1, N, L_big)
-    phi = w(grid.radius_sq())
+    # The big grid has 2^19 points at L_eval = 2560, so every full-size array
+    # is built in place and freed once used, and the coordinates and radii
+    # come from throwaway Grids whose caches die with them.  The operations
+    # are those of w(grid.radius_sq()) and chat * grid.radii ** (2 sigma).
+    phi = Grid(1, N, L_big).x      # x, until it becomes w(x^2) in place
+    inner = np.abs(phi) <= 0.5 * L_eval
+    x_inner = phi[inner]
+    phi **= 2
+    phi += 1.0
+    phi **= -w.beta / 2.0
     chat = to_spectral(grid, phi)
-    field = to_physical(grid, chat * grid.radii ** (2.0 * sigma))
-    inner = np.abs(grid.x) <= 0.5 * L_eval
-    ratio = np.abs(field[inner]) / phi[inner]
-    return FracLapReport(float(ratio.max()), field[inner], grid.x[inner])
+    phi = phi[inner]
+    chat *= Grid(1, N, L_big).radii ** (2.0 * sigma)
+    field = to_physical(grid, chat)[inner]
+    return FracLapReport(float((np.abs(field) / phi).max()), field, x_inner)
 
 
 # --- space-time functionals ---------------------------------------------------

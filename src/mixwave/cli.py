@@ -146,9 +146,12 @@ def resolve_config(argv) -> dict:
     if command not in COMMANDS:
         raise ConfigError(f"unknown command '{command}'")
     validate_ranges(values)
+    keys, mode = COMMANDS[command][2], ""
+    if command == "blowup-functional" and values["snapshots_dir"]:
+        keys, mode = STORED_SNAPSHOT_KEYS, " with snapshots_dir"
     for key in given:
-        if key not in COMMON_KEYS + COMMANDS[command][2]:
-            raise ConfigError(f"key '{key}' is not read by command '{command}'")
+        if key not in COMMON_KEYS + keys:
+            raise ConfigError(f"key '{key}' is not read by command '{command}'{mode}")
     return values
 
 
@@ -373,20 +376,23 @@ def _load_archive(cfg, params) -> SolutionArchive:
     return arc
 
 
+def _archived_run(cfg, params) -> SolutionArchive:
+    state, u0, u1 = initial_state(_grid(cfg), eps=cfg["eps"], width=cfg["width"])
+    ctrl = StepControl(t_end=cfg["t_end"], dt_max=min(cfg["dt_max"], 0.02),
+                       blowup_threshold=cfg["threshold"],
+                       record_t0=0.02, record_ratio=1.04, snapshots=True)
+    outcome = run(params, state, ctrl, p=cfg["p"], eps=cfg["eps"], u0=u0, u1=u1)
+    print(f"stored run: {outcome.status.value} horizon {outcome.archive.times[-1]!r}")
+    return outcome.archive
+
+
 def cmd_blowup_functional(cfg, params, out) -> tuple[dict, bool]:
     _banner(params, cfg["p"])
     if cfg["snapshots_dir"]:
         arc = _load_archive(cfg, params)
-        t_max = arc.times[-1]
     else:
-        state, u0, u1 = initial_state(_grid(cfg), eps=cfg["eps"], width=cfg["width"])
-        ctrl = StepControl(t_end=cfg["t_end"], dt_max=min(cfg["dt_max"], 0.02),
-                           blowup_threshold=cfg["threshold"],
-                           record_t0=0.02, record_ratio=1.04, snapshots=True)
-        outcome = run(params, state, ctrl, p=cfg["p"], eps=cfg["eps"], u0=u0, u1=u1)
-        arc = outcome.archive
-        t_max = arc.times[-1]
-        print(f"stored run: {outcome.status.value} horizon {t_max!r}")
+        arc = _archived_run(cfg, params)
+    t_max = arc.times[-1]
     if cfg["r_list"]:
         r_list = _floats(cfg["r_list"])
     else:
@@ -434,6 +440,10 @@ def cmd_fraclap(cfg, params, out) -> tuple[dict, bool]:
     return payload, passed
 
 
+# the keys blowup-functional reads when snapshots_dir names stored snapshots;
+# without it, the run that makes them reads the grid and step keys too
+STORED_SNAPSHOT_KEYS = ("p", "eps", "snapshots_dir", "r_list", "k_scale")
+
 # name: (command function, summary file, keys it reads besides COMMON_KEYS)
 COMMANDS = {
     "kernels": (cmd_kernels, "kernel_report.json", ("seed",)),
@@ -447,8 +457,8 @@ COMMANDS = {
                        ("p", "eps_list", "grid_n", "box_l", "t_end", "dt_max",
                         "threshold")),
     "blowup-functional": (cmd_blowup_functional, "blowup_functional.json",
-                          ("p", "eps", "snapshots_dir", "grid_n", "box_l", "t_end",
-                           "dt_max", "threshold", "width", "r_list", "k_scale")),
+                          STORED_SNAPSHOT_KEYS + ("grid_n", "box_l", "t_end", "dt_max",
+                                                  "threshold", "width")),
     "fraclap-check": (cmd_fraclap, "fraclap.json", ("l_eval",)),
     "exponents": (cmd_exponents, "exponents.json", ("p", "s_list")),
 }

@@ -19,6 +19,7 @@ from .torus import (
     BlowUpDetected,
     FieldState,
     Grid,
+    Scratch,
     enforce_symmetry,
     gaussian_field,
     mass,
@@ -129,13 +130,16 @@ class Propagator:
     dk1: np.ndarray
     w0: np.ndarray
     w1: np.ndarray
-    # corrector weights of etd2_step, formed once per build
-    w0_minus_w1: np.ndarray = field(init=False, repr=False)
-    w0_over_h: np.ndarray = field(init=False, repr=False)
+    # the multipliers of etd2_step, formed once per build: k0, k1, dk0, dk1,
+    # w0 and the corrector weights w0 - w1 and w0 / h, as complex arrays with
+    # zero imaginary part.  A product with one rounds as with the real array,
+    # and numpy needs no cast buffer for it on every step.
+    multipliers: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.w0_minus_w1 = self.w0 - self.w1
-        self.w0_over_h = self.w0 / self.h
+        self.multipliers = tuple(a.astype(complex) for a in (
+            self.k0, self.k1, self.dk0, self.dk1, self.w0,
+            self.w0 - self.w1, self.w0 / self.h))
 
 
 def build_propagator(params: OperatorParams, grid: Grid, h: float) -> Propagator:
@@ -152,38 +156,58 @@ def linear_step(state: FieldState, prop: Propagator) -> FieldState:
     return FieldState(uhat, vhat, state.t + prop.h, state.grid)
 
 
+class StepBuffers(Scratch):
+    """Arrays etd2_step writes into on one grid: the nonlinearity's scratch,
+    f0 and its increment, and the product scratch.  A run keeps one and
+    reuses it on every step."""
+
+    def __init__(self, grid: Grid):
+        super().__init__(grid)
+        self.f0, self.df, self.tmp = (np.empty(grid.spectral_shape, complex)
+                                      for _ in range(3))
+
+
 def etd2_step(state: FieldState, prop: Propagator, p: float,
-              forcing=None, f0=None) -> FieldState:
+              forcing=None, f0=None, out=None, buffers: StepBuffers | None = None
+              ) -> FieldState:
     """Predictor-corrector exponential step, second order in h.
 
     The correction applies the exact Duhamel moments for forcing linear in
     time: weight (w0 - w1) on the u update and w0/h on the velocity update.
     f0 may pass in the already-computed dealiased transform of |u(t)|^p.
+    out, a (uhat, vhat) pair, receives the new state, and buffers holds the
+    scratch; neither may share memory with the state.  Without them the step
+    allocates its own.
     """
     g = state.grid
+    if buffers is None:
+        buffers = StepBuffers(g)
     t1 = state.t + prop.h
     if f0 is None:
-        f0, _, _ = nonlinearity(g, state.uhat, p, state.t)
+        f0, _, _ = nonlinearity(g, state.uhat, p, state.t,
+                                out=buffers.f0, scratch=buffers)
         if forcing is not None:
             f0 = f0 + forcing(state.t)
     uhat, vhat = state.uhat, state.vhat
+    u, v = out or (None, None)
     # u and v become the new state.  Products go to tmp, never over one of
     # their operands (an aliased complex multiply can round differently);
     # the in-place sums round as out-of-place ones do.
-    tmp = np.empty_like(uhat)
+    tmp = buffers.tmp
+    k0, k1, dk0, dk1, w0, w0_minus_w1, w0_over_h = prop.multipliers
     # predictor: exact linear flow plus constant-forcing Duhamel
-    u = np.multiply(prop.k0, uhat)
-    u += np.multiply(prop.k1, vhat, out=tmp)
-    u += np.multiply(prop.w0, f0, out=tmp)
-    v = np.multiply(prop.dk0, uhat)
-    v += np.multiply(prop.dk1, vhat, out=tmp)
-    v += np.multiply(prop.k1, f0, out=tmp)
-    df, _, _ = nonlinearity(g, u, p, t1)
+    u = np.multiply(k0, uhat, out=u)
+    u += np.multiply(k1, vhat, out=tmp)
+    u += np.multiply(w0, f0, out=tmp)
+    v = np.multiply(dk0, uhat, out=v)
+    v += np.multiply(dk1, vhat, out=tmp)
+    v += np.multiply(k1, f0, out=tmp)
+    df, _, _ = nonlinearity(g, u, p, t1, out=buffers.df, scratch=buffers)
     if forcing is not None:
         df += forcing(t1)
     df -= f0
-    u += np.multiply(prop.w0_minus_w1, df, out=tmp)
-    v += np.multiply(prop.w0_over_h, df, out=tmp)
+    u += np.multiply(w0_minus_w1, df, out=tmp)
+    v += np.multiply(w0_over_h, df, out=tmp)
     enforce_symmetry(g, u)
     enforce_symmetry(g, v)
     return FieldState(u, v, t1, g)
@@ -217,7 +241,11 @@ def run(params: OperatorParams, state: FieldState, ctrl: StepControl, p: float, 
     grid = state.grid
     series = NormSeries()
     acc = MassAccumulator()
+    # every step writes into these and into the spare state pair; the
+    # archive takes fresh transforms, so no buffer outlives the run
     state = state.copy()
+    spare = (np.empty_like(state.uhat), np.empty_like(state.vhat))
+    buffers = StepBuffers(grid)
     acc.initial_mass = mass(state) + grid.volume * float(np.real(state.vhat.flat[0]))
     acc.velocity_mass = grid.volume * float(np.real(state.vhat.flat[0]))
 
@@ -248,7 +276,8 @@ def run(params: OperatorParams, state: FieldState, ctrl: StepControl, p: float, 
                 linf = float(np.max(np.abs(u_phys)))
                 n_now = 0.0
             else:
-                f0, linf, n_now = nonlinearity(grid, state.uhat, p, t)
+                f0, linf, n_now = nonlinearity(grid, state.uhat, p, t, out=buffers.f0,
+                                               scratch=buffers)
         except BlowUpDetected:
             if n_steps == 0:
                 raise ValueError("non-finite initial data") from None
@@ -313,7 +342,9 @@ def run(params: OperatorParams, state: FieldState, ctrl: StepControl, p: float, 
             if linear_only:
                 state = linear_step(state, prop)
             else:
-                state = etd2_step(state, prop, p, f0=f0)
+                new = etd2_step(state, prop, p, f0=f0, out=spare, buffers=buffers)
+                spare = (state.uhat, state.vhat)
+                state = new
         except BlowUpDetected as exc:
             t = exc.t
             warnings.append(f"non-finite values during step at t = {t}")

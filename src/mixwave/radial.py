@@ -68,11 +68,7 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 class QuadratureError(RuntimeError):
-    """Panel estimates disagree beyond tolerance; carries the achieved error."""
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(f"{message} (achieved error estimate {estimate:.3e})")
-        self.estimate = estimate
+    """Panel estimates disagree beyond tolerance; the message names the achieved error."""
 
 
 @lru_cache(maxsize=32)
@@ -163,7 +159,8 @@ def radial_integral(f: Callable[[np.ndarray], np.ndarray],
     # screens for unresolved integrands, not the achieved accuracy
     err = abs(full - half)
     if err > max(1e-12, 1e-7 * abs(full)):
-        raise QuadratureError("radial quadrature did not converge", err)
+        raise QuadratureError(
+            f"radial quadrature did not converge (achieved error estimate {err:.3e})")
     return full
 
 

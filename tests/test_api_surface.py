@@ -55,8 +55,6 @@ MEMBER_ORACLES = {
     "kernels.DuhamelWeights.w1t": "deleting it changes the kernel_eval count the "
                                   "benchmark ledger pins",
     "evolve.SolutionArchive.eps": "perfbench/workloads.py passes run(eps=)",
-    "radial.QuadratureError.estimate": "the unresolved-integrand test reads the "
-                                       "achieved error from the exception",
 }
 
 

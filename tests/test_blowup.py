@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from mixwave.blowup import (
+    _PAD_FACTOR,
     SpatialWeight,
     TestFunctions,
     _interpolant,
@@ -22,7 +24,7 @@ from mixwave.blowup import (
 from mixwave.evolve import SolutionArchive, StepControl, initial_state, run
 from mixwave.experiments import gate
 from mixwave.params import OperatorParams
-from mixwave.torus import Grid
+from mixwave.torus import Grid, to_physical, to_spectral
 
 P = OperatorParams(1.0, 1.0, 0.5, 1)
 
@@ -92,6 +94,35 @@ class TestFracLap:
         phi = (1.0 + rep.x_inner**2) ** (-1.0)
         assert np.max(np.abs(rep.field_inner - phi) / phi) < 1e-9
         assert rep.ratio_sup == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("sigma, sigma0, L_eval, points_per_unit", [
+        (0.5, 0.5, 1280.0, 8.0), (1.5, 0.5, 2560.0, 8.0), (0.5, 0.5, 1280.0, 16.0),
+        (0.3, 0.75, 300.0, 16.0), (2.0, 0.9, 200.0, 8.0)])
+    def test_in_place_build_matches_plain_formula_bitwise(self, sigma, sigma0, L_eval,
+                                                          points_per_unit):
+        w = SpatialWeight(1, sigma0)
+        L_big = _PAD_FACTOR * L_eval
+        N = 1 << int(math.ceil(math.log2(2 * L_big * points_per_unit)))
+        grid = Grid(1, N, L_big)
+        phi = w(grid.radius_sq())
+        field = to_physical(grid, to_spectral(grid, phi) * grid.radii ** (2.0 * sigma))
+        inner = np.abs(grid.x) <= 0.5 * L_eval
+        rep = frac_lap_phi(sigma, sigma0, L_eval, points_per_unit=points_per_unit)
+        assert rep.field_inner.tobytes() == field[inner].tobytes()
+        assert rep.x_inner.tobytes() == grid.x[inner].tobytes()
+        assert rep.ratio_sup == float((np.abs(field[inner]) / phi[inner]).max())
+
+    def test_traced_peak_on_the_big_grid(self):
+        # 2^19 points: one real array is 4.2 MB, and the plain formula peaks
+        # at 25.8 MB of traced numpy memory
+        tracemalloc.start()
+        try:
+            rep = frac_lap_phi(0.5, 0.5, L_eval=2560.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.field_inner.size == 32769
+        assert peak < 12e6
 
     def test_integer_order_matches_biharmonic_differences(self):
         rep = frac_lap_phi(2.0, 0.5, L_eval=1280.0, points_per_unit=16.0)

@@ -155,6 +155,24 @@ class TestConfigResolution:
         assert f"key '{key}' is not read by command '{command}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, raw", [("grid_n", "64"), ("box_l", "20"),
+                                          ("t_end", "5"), ("dt_max", "0.01"),
+                                          ("threshold", "1e4"), ("width", "2")])
+    def test_run_key_with_stored_snapshots_exits_2(self, tmp_path, capsys, key, raw):
+        # the stored snapshots fix the grid and horizon; such a key used to be
+        # accepted and recorded without effect
+        argv = ["blowup-functional", "--a", "1", "--b", "1", "--sigma", "0.5", "--n", "1",
+                "--snapshots-dir", str(tmp_path / "run"), f"--{key.replace('_', '-')}={raw}",
+                "--out", str(tmp_path / "o")]
+        assert run_cli(argv) == 2
+        assert (f"key '{key}' is not read by command 'blowup-functional' with snapshots_dir"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+        # the keys of the stored-snapshot mode itself are accepted
+        cfg = resolve_config(argv[:-3] + ["--p", "2", "--eps", "0.5", "--r-list", "2,5",
+                                          "--k-scale", "2"])
+        assert cfg["snapshots_dir"] == str(tmp_path / "run")
+
     @pytest.mark.parametrize("eps", ["1e7", "1e300"])
     def test_data_over_threshold_exit_2(self, tmp_path, capsys, eps):
         # data already at the threshold are an input error, not a blow-up at t = 0
@@ -203,6 +221,15 @@ def test_each_command_declares_exactly_the_keys_it_reads():
     for name, (command, _, keys) in cli.COMMANDS.items():
         read = _cfg_keys(command.__name__, defs) - set(cli.COMMON_KEYS)
         assert len(set(keys)) == len(keys) and set(keys) == read, name
+
+
+def test_stored_snapshot_mode_declares_exactly_the_keys_it_reads():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    del defs["_archived_run"]      # the run that stored snapshots stand in for
+    read = _cfg_keys("cmd_blowup_functional", defs) - set(cli.COMMON_KEYS)
+    keys = cli.STORED_SNAPSHOT_KEYS
+    assert len(set(keys)) == len(keys) and set(keys) == read
 
 
 class TestResolveConfigProperties:

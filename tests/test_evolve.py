@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mixwave import evolve
 from mixwave.evolve import (
     RunStatus,
+    StepBuffers,
     StepControl,
     build_propagator,
     duhamel_zero_mode_residual,
@@ -184,6 +187,10 @@ class TestEtd2BitExact:
         rng = np.random.default_rng(3)
         state.vhat = state.vhat + 1e-4 * to_spectral(
             g, rng.standard_normal((g.N,) * g.n))
+        # one set of buffers for every call, as a run reuses them: what an
+        # earlier step left in them must not reach the next
+        buffers = StepBuffers(g)
+        out = (np.empty_like(state.uhat), np.empty_like(state.vhat))
         for h in (0.05, 0.013, 1e-4):
             prop = build_propagator(params, g, h)
             for p in (1.5, 3.0):
@@ -195,11 +202,19 @@ class TestEtd2BitExact:
                 assert got.uhat.tobytes() == want_u.tobytes()
                 assert got.vhat.tobytes() == want_v.tobytes()
                 assert got.t == state.t + h
-                # and with the step computing f0 itself
-                got = etd2_step(state, prop, p, forcing=forcing)
-                want_u, want_v = etd2_step_unfused(state, prop, p, forcing)
+                # with buffers, the same bits in the given pair
+                got = etd2_step(state, prop, p, forcing=forcing, f0=f0, out=out,
+                                buffers=buffers)
+                assert got.uhat is out[0] and got.vhat is out[1]
                 assert got.uhat.tobytes() == want_u.tobytes()
                 assert got.vhat.tobytes() == want_v.tobytes()
+                assert f0.tobytes() == f0_before.tobytes()
+                # and with the step computing f0 itself, without and with buffers
+                want_u, want_v = etd2_step_unfused(state, prop, p, forcing)
+                for kwargs in ({}, {"out": out, "buffers": buffers}):
+                    got = etd2_step(state, prop, p, forcing=forcing, **kwargs)
+                    assert got.uhat.tobytes() == want_u.tobytes()
+                    assert got.vhat.tobytes() == want_v.tobytes()
 
     def test_state_arrays_untouched(self, grid):
         state, _, _ = initial_state(grid, eps=1.0)
@@ -304,6 +319,63 @@ class TestRun:
         assert out.status is RunStatus.COMPLETED
         assert out.mass.initial_mass == pytest.approx(0.1, abs=1e-9)
         assert duhamel_zero_mode_residual(out) < 1e-6
+
+
+class TestRunBuffers:
+    """run steps in buffers it allocates once; none of them leaves the run."""
+
+    @staticmethod
+    def _spy(monkeypatch, on_call):
+        real = evolve.etd2_step
+
+        def spy(*args, **kwargs):
+            on_call(args, kwargs)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(evolve, "etd2_step", spy)
+
+    def test_no_buffer_escapes(self, monkeypatch, grid):
+        seen = {}
+
+        def record(args, kwargs):
+            b = kwargs["buffers"]
+            seen.update((id(a), a) for a in (*kwargs["out"], args[0].uhat, args[0].vhat,
+                                             b.f0, b.df, b.tmp, b.phys, b.spec))
+        self._spy(monkeypatch, record)
+        st, u0, u1 = initial_state(grid, eps=1.0)
+        before = st.copy()
+        ctrl = StepControl(t_end=3.0, record_t0=0.05, record_ratio=1.2, snapshots=True)
+        out = run(P, st, ctrl, p=1.5, eps=1.0, u0=u0, u1=u1)
+        assert len(out.archive.fields) > 10 and seen
+        handed = [st.uhat, st.vhat, *out.archive.fields]
+        assert not any(np.shares_memory(a, b) for a in handed for b in seen.values())
+        # the caller's state is read, never stepped in
+        assert st.uhat.tobytes() == before.uhat.tobytes()
+        assert st.vhat.tobytes() == before.vhat.tobytes()
+
+    def test_steps_allocate_no_field_sized_array(self, monkeypatch):
+        # traced memory above the level at the start of a step, per step: a
+        # real field is 8 N bytes, a complex coefficient array 8 N + 16
+        g = Grid(1, 4096, 50.0)
+        excess = []
+
+        def measure(args, kwargs):
+            current, peak = tracemalloc.get_traced_memory()
+            excess.append(peak - current)
+            tracemalloc.reset_peak()
+        self._spy(monkeypatch, measure)
+        st, u0, u1 = initial_state(g, eps=0.01)
+        # one step size (dt_max 1/16 divides t_end); records at t = 0 and t_end
+        # only, before the first measured step and after the last
+        ctrl = StepControl(t_end=1.0, dt_max=0.0625, record_t0=10.0)
+        tracemalloc.start()
+        try:
+            out = run(P, st, ctrl, p=3.0, eps=0.01, u0=u0, u1=u1)
+        finally:
+            tracemalloc.stop()
+        assert out.diagnostics["steps"] == len(excess) == 16
+        # each entry after the first spans one whole step: the corrector,
+        # the next step's nonlinearity and the bookkeeping between them
+        assert max(excess[1:]) < 8 * g.N
 
 
 class TestRunExits:

@@ -12,6 +12,7 @@ from mixwave.torus import (
     BlowUpDetected,
     FieldState,
     Grid,
+    Scratch,
     gaussian_field,
     mass,
     nonlinearity,
@@ -99,6 +100,20 @@ class TestTransforms:
         assert to_spectral(g, u).tobytes() == c_old.tobytes()
         u_old = np.fft.irfftn(c_old * N**n, s=(N,) * n, axes=tuple(range(n)))
         assert to_physical(g, c_old).tobytes() == u_old.tobytes()
+
+    @pytest.mark.parametrize("n, N", [(1, 64), (1, 2048), (1, 16384), (1, 32768),
+                                      (2, 64)])
+    def test_out_arrays_give_the_same_bits(self, n, N):
+        g = Grid(n, N, 7.0)
+        rng = np.random.default_rng(N - n)
+        u = rng.standard_normal((N,) * n) * 10.0 ** rng.uniform(-8, 8, (N,) * n)
+        c = to_spectral(g, u)
+        c_out = np.full(g.spectral_shape, np.nan, complex)
+        assert to_spectral(g, u, c_out) is c_out
+        assert c_out.tobytes() == c.tobytes()
+        u_out = np.full((N,) * n, np.nan)
+        assert to_physical(g, c, u_out) is u_out
+        assert u_out.tobytes() == to_physical(g, c).tobytes()
 
 
 class TestMultipliers:
@@ -203,6 +218,24 @@ class TestNonlinearity:
             assert got.tobytes() == want.tobytes()
             assert linf == float(np.max(np.abs(u)))
             assert n_mass == grid.volume * float(to_spectral(grid, np.abs(u) ** p)[0].real)
+
+    @pytest.mark.parametrize("g", [Grid(1, 256, 20.0), Grid(2, 64, 10.0)])
+    def test_out_and_scratch_give_the_same_bits(self, g):
+        rng = np.random.default_rng(12)
+        c = to_spectral(g, gaussian_field(g) + 0.1 * rng.standard_normal((g.N,) * g.n))
+        scratch, out = Scratch(g), np.empty(g.spectral_shape, complex)
+        for p in (1.5, 2.0, 3.0):
+            want = nonlinearity(g, c, p)
+            got = nonlinearity(g, c, p, out=out, scratch=scratch)
+            assert got[0] is out
+            assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_dealias_factor_is_the_mask(self, n):
+        g = Grid(n, 64, 10.0)
+        assert g.dealias_factor.dtype == complex
+        assert np.array_equal(g.dealias_factor, g.dealias_mask)
+        assert not g.dealias_factor.imag.any()
 
 
 class TestNormsAndMass:
