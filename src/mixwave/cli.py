@@ -365,14 +365,19 @@ def _load_archive(cfg, params) -> SolutionArchive:
     if not names:
         raise ConfigError(f"no snap_*.bin files in '{direc}'")
     grid0, _, u0 = read_snapshot(os.path.join(direc, "data_u0.bin"))
-    _, _, u1 = read_snapshot(os.path.join(direc, "data_u1.bin"))
-    arc = SolutionArchive(grid0, params, cfg["eps"], u0, u1)
-    for fn in names:
+    if grid0.n != cfg["n"]:
+        raise ConfigError(f"key 'n' is {cfg['n']}, but the snapshots in '{direc}' "
+                          f"are {grid0.n}-dimensional")
+    stored = []
+    for fn in ("data_u1.bin", *names):
         grid, t, u = read_snapshot(os.path.join(direc, fn))
         if grid != grid0:
-            raise ConfigError(f"snapshot {fn} has a different grid")
-        arc.times.append(t)
-        arc.fields.append(u)
+            raise ConfigError(f"snapshot {fn} has a different grid than data_u0.bin")
+        stored.append((t, u))
+    (_, u1), *snaps = stored
+    arc = SolutionArchive(grid0, params, cfg["eps"], u0, u1)
+    arc.times = [t for t, _ in snaps]
+    arc.fields = [u for _, u in snaps]
     return arc
 
 

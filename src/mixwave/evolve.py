@@ -20,6 +20,7 @@ from .torus import (
     FieldState,
     Grid,
     Scratch,
+    abs_sup,
     enforce_symmetry,
     gaussian_field,
     mass,
@@ -121,7 +122,9 @@ class RunOutcome:
 
 @dataclass
 class Propagator:
-    """Mode-wise kernels and Duhamel weights for one step size."""
+    """Mode-wise kernels and Duhamel weights for one step size, as complex
+    arrays with zero imaginary part: a product with one rounds as with the
+    real array, and numpy needs no cast buffer for it on every step."""
 
     h: float
     k0: np.ndarray
@@ -129,35 +132,20 @@ class Propagator:
     dk0: np.ndarray
     dk1: np.ndarray
     w0: np.ndarray
-    w1: np.ndarray
-    # the multipliers of etd2_step, formed once per build: k0, k1, dk0, dk1,
-    # w0 and the corrector weights w0 - w1 and w0 / h, as complex arrays with
-    # zero imaginary part.  A product with one rounds as with the real array,
-    # and numpy needs no cast buffer for it on every step.
-    multipliers: tuple[np.ndarray, ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.multipliers = tuple(a.astype(complex) for a in (
-            self.k0, self.k1, self.dk0, self.dk1, self.w0,
-            self.w0 - self.w1, self.w0 / self.h))
+    w0_minus_w1: np.ndarray     # corrector weight of the u update
+    w0_over_h: np.ndarray       # corrector weight of the u_t update
 
 
 def build_propagator(params: OperatorParams, grid: Grid, h: float) -> Propagator:
     r = grid.radii
     kv = kernel_eval(params, h, r)
     w = duhamel_weights(params, h, r)
-    return Propagator(h, kv.k0, kv.k1, kv.dk0, kv.dk1, w.w0, w.w1)
-
-
-def linear_step(state: FieldState, prop: Propagator) -> FieldState:
-    """Exact propagation of the linear flow over one step."""
-    uhat = prop.k0 * state.uhat + prop.k1 * state.vhat
-    vhat = prop.dk0 * state.uhat + prop.dk1 * state.vhat
-    return FieldState(uhat, vhat, state.t + prop.h, state.grid)
+    return Propagator(h, *(a.astype(complex) for a in (
+        kv.k0, kv.k1, kv.dk0, kv.dk1, w.w0, w.w0 - w.w1, w.w0 / h)))
 
 
 class StepBuffers(Scratch):
-    """Arrays etd2_step writes into on one grid: the nonlinearity's scratch,
+    """Arrays the steps write into on one grid: the nonlinearity's scratch,
     f0 and its increment, and the product scratch.  A run keeps one and
     reuses it on every step."""
 
@@ -165,6 +153,24 @@ class StepBuffers(Scratch):
         super().__init__(grid)
         self.f0, self.df, self.tmp = (np.empty(grid.spectral_shape, complex)
                                       for _ in range(3))
+
+
+def linear_step(state: FieldState, prop: Propagator, out=None,
+                buffers: StepBuffers | None = None) -> FieldState:
+    """Exact propagation of the linear flow over one step.  out, a (uhat,
+    vhat) pair, receives the new state and buffers.tmp the products; neither
+    may share memory with the state.  Without them the step allocates."""
+    uhat, vhat = state.uhat, state.vhat
+    u, v = out or (None, None)
+    # products go to tmp, never over one of their operands (an aliased
+    # complex multiply can round differently); the in-place sums round as
+    # out-of-place ones do
+    tmp = None if buffers is None else buffers.tmp
+    u = np.multiply(prop.k0, uhat, out=u)
+    u += np.multiply(prop.k1, vhat, out=tmp)
+    v = np.multiply(prop.dk0, uhat, out=v)
+    v += np.multiply(prop.dk1, vhat, out=tmp)
+    return FieldState(u, v, state.t + prop.h, state.grid)
 
 
 def etd2_step(state: FieldState, prop: Propagator, p: float,
@@ -182,35 +188,25 @@ def etd2_step(state: FieldState, prop: Propagator, p: float,
     g = state.grid
     if buffers is None:
         buffers = StepBuffers(g)
-    t1 = state.t + prop.h
     if f0 is None:
         f0, _, _ = nonlinearity(g, state.uhat, p, state.t,
                                 out=buffers.f0, scratch=buffers)
         if forcing is not None:
             f0 = f0 + forcing(state.t)
-    uhat, vhat = state.uhat, state.vhat
-    u, v = out or (None, None)
-    # u and v become the new state.  Products go to tmp, never over one of
-    # their operands (an aliased complex multiply can round differently);
-    # the in-place sums round as out-of-place ones do.
-    tmp = buffers.tmp
-    k0, k1, dk0, dk1, w0, w0_minus_w1, w0_over_h = prop.multipliers
     # predictor: exact linear flow plus constant-forcing Duhamel
-    u = np.multiply(k0, uhat, out=u)
-    u += np.multiply(k1, vhat, out=tmp)
-    u += np.multiply(w0, f0, out=tmp)
-    v = np.multiply(dk0, uhat, out=v)
-    v += np.multiply(dk1, vhat, out=tmp)
-    v += np.multiply(k1, f0, out=tmp)
-    df, _, _ = nonlinearity(g, u, p, t1, out=buffers.df, scratch=buffers)
+    new = linear_step(state, prop, out, buffers)
+    u, v, tmp = new.uhat, new.vhat, buffers.tmp
+    u += np.multiply(prop.w0, f0, out=tmp)
+    v += np.multiply(prop.k1, f0, out=tmp)
+    df, _, _ = nonlinearity(g, u, p, new.t, out=buffers.df, scratch=buffers)
     if forcing is not None:
-        df += forcing(t1)
+        df += forcing(new.t)
     df -= f0
-    u += np.multiply(w0_minus_w1, df, out=tmp)
-    v += np.multiply(w0_over_h, df, out=tmp)
+    u += np.multiply(prop.w0_minus_w1, df, out=tmp)
+    v += np.multiply(prop.w0_over_h, df, out=tmp)
     enforce_symmetry(g, u)
     enforce_symmetry(g, v)
-    return FieldState(u, v, t1, g)
+    return new
 
 
 def resolution_horizon(params: OperatorParams, L: float) -> float:
@@ -269,12 +265,8 @@ def run(params: OperatorParams, state: FieldState, ctrl: StepControl, p: float, 
         t = state.t
         try:
             if linear_only:
-                u_phys = state.physical_u()
-                if not np.all(np.isfinite(u_phys)):
-                    raise BlowUpDetected(t)
-                f0 = None
-                linf = float(np.max(np.abs(u_phys)))
-                n_now = 0.0
+                f0, n_now = None, 0.0
+                _, linf = abs_sup(grid, state.uhat, t, buffers.phys)
             else:
                 f0, linf, n_now = nonlinearity(grid, state.uhat, p, t, out=buffers.f0,
                                                scratch=buffers)
@@ -340,15 +332,15 @@ def run(params: OperatorParams, state: FieldState, ctrl: StepControl, p: float, 
             prop = build_propagator(params, grid, h)
         try:
             if linear_only:
-                state = linear_step(state, prop)
+                new = linear_step(state, prop, out=spare, buffers=buffers)
             else:
                 new = etd2_step(state, prop, p, f0=f0, out=spare, buffers=buffers)
-                spare = (state.uhat, state.vhat)
-                state = new
         except BlowUpDetected as exc:
             t = exc.t
             warnings.append(f"non-finite values during step at t = {t}")
             break
+        spare = (state.uhat, state.vhat)
+        state = new
         prev_n = (h, n_now)
         n_steps += 1
         min_h = min(min_h, h)

@@ -143,7 +143,7 @@ def profile_experiment(params: OperatorParams, p: float, eps: float, horizon: fl
 
     # tail of the nonlinear mass beyond the horizon, by power-law extrapolation
     tail = 0.0
-    if not linear_only and eps > 0:
+    if eps > 0:
         ts = np.asarray(outcome.series.t)
         nl = np.asarray(outcome.series.nonlinear_mass)
         rate = np.diff(nl) / np.diff(ts)

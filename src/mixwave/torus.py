@@ -173,6 +173,18 @@ class Scratch:
         self.spec = np.empty(grid.spectral_shape, complex)
 
 
+def abs_sup(grid: Grid, uhat: np.ndarray, t: float, out: np.ndarray):
+    """(|u| written into out, sup|u|) for the coefficients uhat; raises
+    BlowUpDetected on non-finite physical values."""
+    with np.errstate(invalid="ignore", over="ignore"):   # caught by the test below
+        a = to_physical(grid, uhat, out)
+    np.abs(a, out=a)
+    linf = float(a.max())
+    if not math.isfinite(linf):     # max propagates NaN, so this catches both
+        raise BlowUpDetected(t)
+    return a, linf
+
+
 def nonlinearity(grid: Grid, uhat: np.ndarray, p: float, t: float = 0.0,
                  out: np.ndarray | None = None, scratch: Scratch | None = None):
     """Spectral coefficients of |u|^p, dealiased, written into out if given.
@@ -184,13 +196,9 @@ def nonlinearity(grid: Grid, uhat: np.ndarray, p: float, t: float = 0.0,
         raise ValueError("nonlinearity power p must be >= 1")
     if scratch is None:
         scratch = Scratch(grid)
-    # an overflow here is caught by the finiteness test, in this call or the next
+    a, linf = abs_sup(grid, uhat, t, scratch.phys)
+    # an overflow here is caught by the finiteness test of the next call
     with np.errstate(invalid="ignore", over="ignore"):
-        a = to_physical(grid, uhat, scratch.phys)
-        np.abs(a, out=a)
-        linf = float(a.max())
-        if not math.isfinite(linf):     # max propagates NaN, so this catches both
-            raise BlowUpDetected(t)
         a **= p
         fhat = to_spectral(grid, a, scratch.spec)
         n_mass = grid.volume * fhat.flat[0].real   # zero mode unaffected by dealiasing

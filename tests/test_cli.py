@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as hst
 from mixwave import cli
 from mixwave.cli import ConfigError, main, read_config_file, resolve_config
 from mixwave.experiments import GATES, LifespanRecord, LifespanReport, gate
+from mixwave.torus import Grid, read_snapshot, write_snapshot
 
 
 def run_cli(args):
@@ -424,3 +426,44 @@ class TestCommands:
         payload = json.loads((func_out / "blowup_functional.json").read_text())
         assert payload["j_tilde_le_j"] is True
         assert gate("j4_exponent", payload["exponents"]["j4"], payload["targets"]["j4"])[0]
+
+
+class TestStoredSnapshotChecks:
+    """blowup-functional --snapshots-dir needs one grid across data_u0.bin,
+    data_u1.bin and every snap_*.bin, of the dimension the key n names."""
+
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("stored") / "run"
+        code = run_cli(["solve", "--a", "1", "--b", "1", "--sigma", "0.5", "--n", "1",
+                        "--p", "1.5", "--eps", "1.0", "--grid-n", "256", "--box-l", "50",
+                        "--t-end", "0.5", "--snapshots", "--out", str(out)])
+        assert code == 0
+        return out
+
+    @staticmethod
+    def _functional(snaps, tmp_path, n="1"):
+        return run_cli(["blowup-functional", "--a", "1", "--b", "1", "--sigma", "0.5",
+                        "--n", n, "--p", "1.5", "--eps", "1.0",
+                        "--snapshots-dir", str(snaps), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("grid", [Grid(1, 256, 10.0), Grid(1, 128, 50.0)],
+                             ids=["other-L", "other-N"])
+    def test_data_u1_on_another_grid_exits_2(self, stored, tmp_path, capsys, grid):
+        snaps = shutil.copytree(stored, tmp_path / "snaps")
+        _, t, u1 = read_snapshot(snaps / "data_u1.bin")
+        write_snapshot(snaps / "data_u1.bin", grid, t, u1[:grid.N])
+        assert self._functional(snaps, tmp_path) == 2
+        assert "data_u1.bin has a different grid" in capsys.readouterr().err
+
+    def test_n_other_than_the_stored_dimension_exits_2(self, stored, tmp_path, capsys):
+        assert self._functional(stored, tmp_path, n="2") == 2
+        assert ("key 'n' is 2, but the snapshots in" in capsys.readouterr().err)
+
+    def test_no_snapshot_files_exits_2(self, stored, tmp_path, capsys):
+        snaps = tmp_path / "snaps"
+        snaps.mkdir()
+        for name in ("data_u0.bin", "data_u1.bin"):
+            shutil.copy(stored / name, snaps / name)
+        assert self._functional(snaps, tmp_path) == 2
+        assert f"no snap_*.bin files in '{snaps}'" in capsys.readouterr().err

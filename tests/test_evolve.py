@@ -17,7 +17,7 @@ from mixwave.evolve import (
     resolution_horizon,
     run,
 )
-from mixwave.kernels import kernel_eval
+from mixwave.kernels import duhamel_weights, kernel_eval
 from mixwave.params import OperatorParams
 from mixwave.torus import (
     FieldState,
@@ -76,6 +76,27 @@ class TestLinearStep:
         mat = np.array([[prop.k0[k], prop.k1[k]], [prop.dk0[k], prop.dk1[k]]])
         eig = np.linalg.eigvals(mat)
         assert np.max(np.abs(eig)) == pytest.approx(math.exp(-h / 2), rel=1e-12)
+
+    @pytest.mark.parametrize("g", [Grid(1, 512, 50.0), Grid(1, 2048, 50.0),
+                                   Grid(2, 64, 16.0)])
+    def test_matches_kernel_products_bit_for_bit(self, g):
+        params = P if g.n == 1 else OperatorParams(1.0, 1.0, 1.5, 2)
+        state, _, _ = initial_state(g, eps=2.0)
+        state.vhat = state.vhat + 1e-4 * to_spectral(
+            g, np.random.default_rng(3).standard_normal((g.N,) * g.n))
+        buffers = StepBuffers(g)
+        out = (np.empty_like(state.uhat), np.empty_like(state.vhat))
+        for h in (0.05, 0.013, 1e-4):
+            kv = kernel_eval(params, h, g.radii)
+            want_u = kv.k0 * state.uhat + kv.k1 * state.vhat
+            want_v = kv.dk0 * state.uhat + kv.dk1 * state.vhat
+            prop = build_propagator(params, g, h)
+            for kwargs in ({}, {"out": out, "buffers": buffers}):
+                got = linear_step(state, prop, **kwargs)
+                assert got.uhat.tobytes() == want_u.tobytes()
+                assert got.vhat.tobytes() == want_v.tobytes()
+                assert got.t == state.t + h
+            assert got.uhat is out[0] and got.vhat is out[1]
 
     def test_multi_step_matches_single_exact_propagation(self, grid):
         st, _, _ = initial_state(grid, eps=1.0)
@@ -150,23 +171,26 @@ class TestEtd2:
         assert all(rate >= 2.5 for rate in rates_u)
 
 
-def etd2_step_unfused(state, prop, p, forcing=None, f0=None):
-    """The step as plain out-of-place array expressions, one temporary each."""
-    g, h = state.grid, prop.h
+def etd2_step_unfused(params, state, h, p, forcing=None, f0=None):
+    """The step as plain out-of-place array expressions, one temporary each,
+    on the real kernels and Duhamel weights."""
+    g = state.grid
+    kv = kernel_eval(params, h, g.radii)
+    w = duhamel_weights(params, h, g.radii)
     if f0 is None:
         f0, _, _ = nonlinearity(g, state.uhat, p, state.t)
         if forcing is not None:
             f0 = f0 + forcing(state.t)
-    base_u = prop.k0 * state.uhat + prop.k1 * state.vhat
-    base_v = prop.dk0 * state.uhat + prop.dk1 * state.vhat
-    pred_u = base_u + prop.w0 * f0
-    pred_v = base_v + prop.k1 * f0
+    base_u = kv.k0 * state.uhat + kv.k1 * state.vhat
+    base_v = kv.dk0 * state.uhat + kv.dk1 * state.vhat
+    pred_u = base_u + w.w0 * f0
+    pred_v = base_v + kv.k1 * f0
     f1, _, _ = nonlinearity(g, pred_u, p, state.t + h)
     if forcing is not None:
         f1 = f1 + forcing(state.t + h)
     df = f1 - f0
-    uhat = pred_u + (prop.w0 - prop.w1) * df
-    vhat = pred_v + (prop.w0 / h) * df
+    uhat = pred_u + (w.w0 - w.w1) * df
+    vhat = pred_v + (w.w0 / h) * df
     return enforce_symmetry(g, uhat), enforce_symmetry(g, vhat)
 
 
@@ -198,7 +222,7 @@ class TestEtd2BitExact:
                 f0_before = f0.copy()
                 got = etd2_step(state, prop, p, forcing=forcing, f0=f0)
                 assert f0.tobytes() == f0_before.tobytes()
-                want_u, want_v = etd2_step_unfused(state, prop, p, forcing, f0)
+                want_u, want_v = etd2_step_unfused(params, state, h, p, forcing, f0)
                 assert got.uhat.tobytes() == want_u.tobytes()
                 assert got.vhat.tobytes() == want_v.tobytes()
                 assert got.t == state.t + h
@@ -210,7 +234,7 @@ class TestEtd2BitExact:
                 assert got.vhat.tobytes() == want_v.tobytes()
                 assert f0.tobytes() == f0_before.tobytes()
                 # and with the step computing f0 itself, without and with buffers
-                want_u, want_v = etd2_step_unfused(state, prop, p, forcing)
+                want_u, want_v = etd2_step_unfused(params, state, h, p, forcing)
                 for kwargs in ({}, {"out": out, "buffers": buffers}):
                     got = etd2_step(state, prop, p, forcing=forcing, **kwargs)
                     assert got.uhat.tobytes() == want_u.tobytes()
@@ -325,13 +349,13 @@ class TestRunBuffers:
     """run steps in buffers it allocates once; none of them leaves the run."""
 
     @staticmethod
-    def _spy(monkeypatch, on_call):
-        real = evolve.etd2_step
+    def _spy(monkeypatch, on_call, step="etd2_step"):
+        real = getattr(evolve, step)
 
         def spy(*args, **kwargs):
             on_call(args, kwargs)
             return real(*args, **kwargs)
-        monkeypatch.setattr(evolve, "etd2_step", spy)
+        monkeypatch.setattr(evolve, step, spy)
 
     def test_no_buffer_escapes(self, monkeypatch, grid):
         seen = {}
@@ -352,9 +376,9 @@ class TestRunBuffers:
         assert st.uhat.tobytes() == before.uhat.tobytes()
         assert st.vhat.tobytes() == before.vhat.tobytes()
 
-    def test_steps_allocate_no_field_sized_array(self, monkeypatch):
-        # traced memory above the level at the start of a step, per step: a
-        # real field is 8 N bytes, a complex coefficient array 8 N + 16
+    def _step_excess(self, monkeypatch, linear_only):
+        """Traced memory above the level at the start of a step, per step, of
+        a run at N=4096; the size of a real field, 8 N bytes."""
         g = Grid(1, 4096, 50.0)
         excess = []
 
@@ -362,20 +386,31 @@ class TestRunBuffers:
             current, peak = tracemalloc.get_traced_memory()
             excess.append(peak - current)
             tracemalloc.reset_peak()
-        self._spy(monkeypatch, measure)
+        self._spy(monkeypatch, measure, "linear_step" if linear_only else "etd2_step")
         st, u0, u1 = initial_state(g, eps=0.01)
         # one step size (dt_max 1/16 divides t_end); records at t = 0 and t_end
         # only, before the first measured step and after the last
         ctrl = StepControl(t_end=1.0, dt_max=0.0625, record_t0=10.0)
         tracemalloc.start()
         try:
-            out = run(P, st, ctrl, p=3.0, eps=0.01, u0=u0, u1=u1)
+            out = run(P, st, ctrl, p=3.0, eps=0.01, u0=u0, u1=u1,
+                      linear_only=linear_only)
         finally:
             tracemalloc.stop()
         assert out.diagnostics["steps"] == len(excess) == 16
-        # each entry after the first spans one whole step: the corrector,
-        # the next step's nonlinearity and the bookkeeping between them
-        assert max(excess[1:]) < 8 * g.N
+        return excess, 8 * g.N
+
+    def test_steps_allocate_no_field_sized_array(self, monkeypatch):
+        # a complex coefficient array is 8 N + 16 bytes; each entry after the
+        # first spans one whole step: the corrector, the next step's
+        # nonlinearity and the bookkeeping between them
+        excess, field_bytes = self._step_excess(monkeypatch, linear_only=False)
+        assert max(excess[1:]) < field_bytes
+
+    def test_linear_steps_allocate_no_field_sized_array(self, monkeypatch):
+        # the linear flow and the sup-norm check between its steps
+        excess, field_bytes = self._step_excess(monkeypatch, linear_only=True)
+        assert max(excess[1:]) < field_bytes
 
 
 class TestRunExits:
@@ -454,10 +489,13 @@ class TestRunExits:
 
 class TestInitialData:
     def test_non_finite_initial_state_rejected(self, grid):
-        st, u0, u1 = initial_state(grid, eps=0.01)
-        st.uhat[3] = np.nan
-        with pytest.raises(ValueError, match="non-finite initial data"):
-            run(P, st, StepControl(t_end=1.0), p=3.0, eps=0.01, u0=u0, u1=u1)
+        for bad in (np.nan, np.inf):
+            for linear_only in (False, True):
+                st, u0, u1 = initial_state(grid, eps=0.01)
+                st.uhat[3] = bad
+                with pytest.raises(ValueError, match="non-finite initial data"):
+                    run(P, st, StepControl(t_end=1.0), p=3.0, eps=0.01, u0=u0, u1=u1,
+                        linear_only=linear_only)
 
     @pytest.mark.parametrize("eps, threshold", [(1e7, 1e6), (1e300, 1e6), (1e4, 1e3)])
     def test_initial_state_at_threshold_rejected(self, grid, eps, threshold):

@@ -24,6 +24,9 @@ CASES = {
     "kernels": ["kernels", *BASE, "--b", "1", "--seed", "7"],
     "solve": ["solve", *BASE, "--b", "2", "--p", "1.5", "--eps", "1.0",
               "--grid-n", "256", "--box-l", "40", "--t-end", "8.0", "--snapshots"],
+    "solve-linear": ["solve", *BASE, "--b", "2", "--p", "1.5", "--eps", "1.0",
+                     "--grid-n", "256", "--box-l", "40", "--t-end", "5.0",
+                     "--snapshots", "--linear"],
     "solve-2d": ["solve", "--a", "1", "--b", "1", "--sigma", "1.5", "--n", "2",
                  "--p", "2.0", "--eps", "2.0", "--grid-n", "64", "--box-l", "16",
                  "--t-end", "3.0"],
@@ -43,6 +46,7 @@ GOLDEN = {
     "profile": "482aad271d7a741e19636fca3ecac13ccde317859ff8e36190c2be788bf7210b",
     "solve": "f054db23cf98b820cdef4ccf3e0bd56469d85117df573c2124ee8b34e58731f8",
     "solve-2d": "36558c9a1f0407e2c40e5ebdc3ce6aab9174f7130fb758c61db38bd37e48ea5c",
+    "solve-linear": "31938ba858a2c6385f285f3a3e6461be2c268bc833b5145414922a7648396ff5",
 }
 
 
