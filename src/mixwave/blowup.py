@@ -223,6 +223,10 @@ class _TimeSpline:
     solve_banded((1, 1), ...) calls), the PPoly coefficients c[0..3] and the
     PPoly sum c3 + c2 s + c1 s^2 + c0 (s^2 s).  Two snapshots give the line
     and three the parabola through them, as in scipy, up to rounding.
+
+    It keeps references to the snapshot rows, never a copy, and one
+    field-sized array of its own: the knot slopes s.  The coefficients of a
+    piece are formed, in PPoly's order, only while that piece is evaluated.
     """
 
     def __init__(self, x, y):
@@ -233,34 +237,45 @@ class _TimeSpline:
         dx = np.diff(x)
         if not np.all(dx > 0):
             raise ValueError("snapshot times must be strictly increasing")
-        if not np.isfinite(y).all():
+        if not all(np.isfinite(row).all() for row in y):
             raise ValueError("snapshot values must be finite")
         self.x = x
-        self.shape = y.shape[1:]
-        y = y.reshape(n, -1)
-        dxr = dx[:, None]
-        slope = np.diff(y, axis=0) / dxr
+        self.dx = dx
+        self.shape = np.shape(y[0])
+        self.y = [np.asarray(row, float).reshape(-1) for row in y]
         if n == 2:
-            s = np.concatenate((slope, slope))
+            slope = self._slope(0)
+            self.s = np.stack((slope, slope))
         elif n == 3:
-            mid = (dx[1] * slope[0] + dx[0] * slope[1]) / (dx[0] + dx[1])
-            s = np.stack((2 * slope[0] - mid, mid, 2 * slope[1] - mid))
+            slope0, slope1 = self._slope(0), self._slope(1)
+            mid = (dx[1] * slope0 + dx[0] * slope1) / (dx[0] + dx[1])
+            self.s = np.stack((2 * slope0 - mid, mid, 2 * slope1 - mid))
         else:
-            s = self._slopes(x, dx, dxr, slope)
-        k = (s[:-1] + s[1:] - 2 * slope) / dxr
-        # PPoly's sum starts from 0.0, which turns a -0.0 in y into +0.0
-        self.c = np.stack((k / dxr, (slope - s[:-1]) / dxr - k, s[:-1], 0.0 + y[:-1]))
+            self.s = self._knot_slopes()
 
-    @staticmethod
-    def _slopes(x, dx, dxr, slope):
+    def _slope(self, i):
+        """Slope of the chord over piece i."""
+        return (self.y[i + 1] - self.y[i]) / self.dx[i]
+
+    def _knot_slopes(self):
         """Knot derivatives: the not-a-knot tridiagonal system, solved as dgtsv does."""
+        x, dx = self.x, self.dx
         n = len(x)
-        b = np.empty((n, slope.shape[1]))
-        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        b = np.empty((n, self.y[0].size))
         head = x[2] - x[0]
-        b[0] = ((dxr[0] + 2 * head) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / head
         tail = x[-1] - x[-3]
-        b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * tail + dxr[-1]) * dxr[-2] * slope[-1]) / tail
+        # right-hand side row by row, two chord slopes alive at a time;
+        # dx[i] * dx[i] is the square that ** 2 takes on an array, while
+        # dx[i] ** 2 on a numpy scalar calls pow, which can round otherwise
+        last = self._slope(0)
+        for i in range(1, n - 1):
+            slope = self._slope(i)
+            b[i] = 3 * (dx[i] * last + dx[i - 1] * slope)
+            if i == 1:
+                b[0] = ((dx[0] + 2 * head) * dx[1] * last + dx[0] * dx[0] * slope) / head
+            if i == n - 2:
+                b[-1] = (dx[-1] * dx[-1] * last + (2 * tail + dx[-1]) * dx[-2] * slope) / tail
+            last = slope
         # sub-, main and super-diagonal; dl[i] becomes the second super-diagonal
         # entry of row i when rows i and i+1 are swapped, and 0 otherwise
         dl = [*dx[1:].tolist(), tail]
@@ -288,24 +303,32 @@ class _TimeSpline:
             b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
         return b
 
+    def coefficients(self, i):
+        """PPoly coefficients c[0..3] of piece i, formed as CubicSpline forms c."""
+        h = self.dx[i]
+        slope = self._slope(i)
+        k = (self.s[i] + self.s[i + 1] - 2 * slope) / h
+        # PPoly's sum starts from 0.0, which turns a -0.0 in y into +0.0
+        return k / h, (slope - self.s[i]) / h - k, self.s[i], 0.0 + self.y[i]
+
     def __call__(self, t):
         """Values at times t, shape t.shape + shape; outside the knots the
         end pieces are extended."""
         t = np.asarray(t, float)
         tf = t.ravel()
-        c0, c1, c2, c3 = self.c
-        out = np.empty((tf.size, c0.shape[1]))
+        out = np.empty((tf.size, self.s.shape[1]))
         piece = np.clip(np.searchsorted(self.x, tf, side="right") - 1, 0, len(self.x) - 2)
         cuts = [0, *(np.flatnonzero(np.diff(piece)) + 1).tolist(), tf.size]
         for lo, hi in zip(cuts, cuts[1:]):
             i = piece[lo]
+            c0, c1, c2, c3 = self.coefficients(i)
             s = (tf[lo:hi] - self.x[i])[:, None]
             s2 = s * s
             o = out[lo:hi]
-            np.multiply(c2[i], s, out=o)
-            o += c3[i]
-            o += c1[i] * s2
-            o += c0[i] * (s2 * s)
+            np.multiply(c2, s, out=o)
+            o += c3
+            o += c1 * s2
+            o += c0 * (s2 * s)
         return out.reshape(t.shape + self.shape)
 
 
@@ -317,7 +340,7 @@ def _interpolant(archive: SolutionArchive) -> _TimeSpline:
     """
     n = len(archive.times)
     if archive.interp_cache is None or archive.interp_cache[0] != n:
-        archive.interp_cache = (n, _TimeSpline(archive.times, np.stack(archive.fields)))
+        archive.interp_cache = (n, _TimeSpline(archive.times, archive.fields))
     return archive.interp_cache[1]
 
 

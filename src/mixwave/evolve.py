@@ -104,7 +104,9 @@ class SolutionArchive:
     times: list[float] = field(default_factory=list)
     fields: list[np.ndarray] = field(default_factory=list)
     # (snapshot count, blowup._TimeSpline of the snapshots), built by the
-    # blowup module's space-time quadrature on first use, again after appends
+    # blowup module's space-time quadrature on first use, again after appends;
+    # the spline references the arrays in fields without copying them, so an
+    # archived field must never be written in place
     interp_cache: tuple | None = field(default=None, init=False, repr=False,
                                        compare=False)
 

@@ -236,7 +236,9 @@ class TestTimeSpline:
         y = rng.normal(size=(n, 3, 5)) * 10.0 ** rng.uniform(-3, 3)
         ref = CubicSpline(x, y, axis=0)
         spline = _TimeSpline(x, y)
-        assert spline.c.reshape(ref.c.shape).tobytes() == ref.c.tobytes()
+        for i in range(n - 1):
+            c = np.stack(spline.coefficients(i)).reshape(ref.c[:, i].shape)
+            assert c.tobytes() == ref.c[:, i].tobytes()
         # at the knots, inside, at t = 0 and just past (and before) the ends
         t = np.sort(np.concatenate([x, rng.uniform(0.0, x[-1], 200),
                                     [-0.5, 0.0, x[-1] + 1e-12, x[-1] + 0.5]]))
@@ -313,6 +315,29 @@ class TestScalingSweep:
             fresh = SolutionArchive(arc.grid, arc.params, arc.eps, arc.u0, arc.u1,
                                     times=list(arc.times), fields=list(arc.fields))
             assert evaluate_functionals(fresh, TestFunctions(0.5, eta, r), 1.5) == rep
+
+    def test_spline_and_sweep_footprint(self, blowup_archive):
+        # the spline keeps the n x N knot slopes and references the snapshots;
+        # a sweep adds the 801 x N block of interpolated values per radius
+        arc, T = blowup_archive
+        n, N = len(arc.times), arc.grid.N
+        eta = make_eta(1.5)
+        r_hi = 0.45 * T
+        radii = np.geomspace(r_hi / math.sqrt(10), r_hi, 7)
+
+        def traced_peak(f, *args):
+            # a fresh archive each time, so no cached spline is reused
+            fresh = SolutionArchive(arc.grid, arc.params, arc.eps, arc.u0, arc.u1,
+                                    times=list(arc.times), fields=list(arc.fields))
+            tracemalloc.start()
+            try:
+                f(fresh, *args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(_interpolant) <= 2 * n * N * 8
+        assert traced_peak(scaling_sweep, eta, radii, 1.5) <= (801 + 2 * n) * N * 8
 
     def test_interpolant_rebuilt_after_append(self):
         grid = Grid(1, 64, 10.0)
