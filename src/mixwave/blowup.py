@@ -21,21 +21,11 @@ from .torus import Grid, to_physical, to_spectral
 # --- time cutoff ------------------------------------------------------------
 
 def _smoothstep5(x):
-    """Quintic smoothstep: 0 at 0, 1 at 1, C^2-flat at both ends."""
-    x = np.clip(x, 0.0, 1.0)
-    return x**3 * (10.0 - 15.0 * x + 6.0 * x**2)
-
-
-def _smoothstep5_d1(x):
-    inside = (x > 0.0) & (x < 1.0)
-    x = np.clip(x, 0.0, 1.0)
-    return np.where(inside, 30.0 * x**2 * (1.0 - x) ** 2, 0.0)
-
-
-def _smoothstep5_d2(x):
-    inside = (x > 0.0) & (x < 1.0)
-    x = np.clip(x, 0.0, 1.0)
-    return np.where(inside, 60.0 * x * (1.0 - x) * (1.0 - 2.0 * x), 0.0)
+    """Quintic smoothstep S(x) = x^3 (10 - 15x + 6x^2) with S' and S'', for
+    0 < x < 1: S runs from 0 to 1 and is C^2-flat at both ends."""
+    return (x**3 * (10.0 - 15.0 * x + 6.0 * x**2),
+            30.0 * x**2 * (1.0 - x) ** 2,
+            60.0 * x * (1.0 - x) * (1.0 - 2.0 * x))
 
 
 @dataclass(frozen=True)
@@ -50,31 +40,35 @@ class Eta:
     q: int
     condition_constant: float
 
-    def __call__(self, t):
+    @staticmethod
+    def _ramp(t):
+        """t as an array, the mask of the open ramp 1/2 < t < 1, and there
+        1 - S, S' and S'' at 2t - 1."""
         t = np.asarray(t, float)
-        tau = 2.0 * t - 1.0
-        base = (1.0 - _smoothstep5(tau)) ** self.q
-        return np.where(t <= 0.5, 1.0, np.where(t >= 1.0, 0.0, base))
+        inside = (t > 0.5) & (t < 1.0)
+        s, s1, s2 = _smoothstep5(2.0 * t[inside] - 1.0)
+        return t, inside, 1.0 - s, s1, s2
+
+    def __call__(self, t):
+        t, inside, b, _, _ = self._ramp(t)
+        out = np.where(t <= 0.5, 1.0, 0.0)
+        out[inside] = b**self.q
+        return out
 
     def d1(self, t):
-        t = np.asarray(t, float)
-        tau = 2.0 * t - 1.0
-        b = 1.0 - _smoothstep5(tau)
-        inside = (t > 0.5) & (t < 1.0)
-        val = -2.0 * self.q * np.where(inside, b, 1.0) ** (self.q - 1) * _smoothstep5_d1(tau)
-        return np.where(inside, val, 0.0)
+        t, inside, b, s1, _ = self._ramp(t)
+        out = np.zeros_like(t)
+        out[inside] = -2.0 * self.q * b ** (self.q - 1) * s1
+        return out
 
     def d2(self, t):
-        t = np.asarray(t, float)
-        tau = 2.0 * t - 1.0
-        b = np.maximum(1.0 - _smoothstep5(tau), 0.0)
-        inside = (t > 0.5) & (t < 1.0)
-        bs = np.where(inside, b, 1.0)
-        s1 = _smoothstep5_d1(tau)
-        s2 = _smoothstep5_d2(tau)
-        val = 4.0 * self.q * ((self.q - 1) * bs ** (self.q - 2) * s1**2
-                              - bs ** (self.q - 1) * s2)
-        return np.where(inside, val, 0.0)
+        t, inside, b, s1, s2 = self._ramp(t)
+        # 1 - S rounds below 0 for some x just under 1
+        b = np.maximum(b, 0.0)
+        out = np.zeros_like(t)
+        out[inside] = 4.0 * self.q * ((self.q - 1) * b ** (self.q - 2) * s1**2
+                                      - b ** (self.q - 1) * s2)
+        return out
 
 
 def eta_condition_value(eta: Eta, p: float, samples: int = 20001) -> float:
@@ -177,18 +171,6 @@ def frac_lap_phi(sigma: float, sigma0: float, L_eval: float,
 # --- space-time functionals ---------------------------------------------------
 
 @dataclass(frozen=True)
-class TestFunctions:
-    """Rescaled weight pair for one (R, K)."""
-
-    __test__ = False   # name collides with pytest collection
-
-    sigma0: float
-    eta: Eta
-    R: float
-    K: float = 1.0
-
-
-@dataclass(frozen=True)
 class FunctionalReport:
     j_r: float
     j_r_tilde: float
@@ -197,15 +179,16 @@ class FunctionalReport:
     identity_residual: float                    # defect of the integration-by-parts identity
 
 
-def _weight_fields(archive: SolutionArchive, tf: TestFunctions):
-    """phi_R, Lap(phi_R) and (-Lap)^sigma(phi_R) on the solution grid.
+def _weight_fields(archive: SolutionArchive, R: float, K: float):
+    """phi_R, Lap(phi_R) and (-Lap)^sigma(phi_R) on the solution grid, for
+    the weight of order default_sigma0(sigma) rescaled by K R.
 
     Torus-spectral weights keep the discrete self-adjointness identity exact.
     """
     grid = archive.grid
     params = archive.params
-    scale = tf.K * tf.R
-    w = SpatialWeight(grid.n, tf.sigma0)
+    scale = K * R
+    w = SpatialWeight(grid.n, default_sigma0(params.sigma))
     x_sq = grid.radius_sq(scale)
     phi_r = w(x_sq)
     lap_phi = w.laplacian(x_sq) / scale**2
@@ -227,6 +210,8 @@ class _TimeSpline:
     It keeps references to the snapshot rows, never a copy, and one
     field-sized array of its own: the knot slopes s.  The coefficients of a
     piece are formed, in PPoly's order, only while that piece is evaluated.
+    So while a spline is in use, no snapshot may be written in place; a
+    spline lives no longer than the sweep (or the single radius) it serves.
     """
 
     def __init__(self, x, y):
@@ -332,47 +317,40 @@ class _TimeSpline:
         return out.reshape(t.shape + self.shape)
 
 
-def _interpolant(archive: SolutionArchive) -> _TimeSpline:
-    """Cubic spline of the snapshots in time.
-
-    Kept on the archive, so all radii of a sweep share one spline; built
-    again only after snapshots were appended.
-    """
-    n = len(archive.times)
-    if archive.interp_cache is None or archive.interp_cache[0] != n:
-        archive.interp_cache = (n, _TimeSpline(archive.times, archive.fields))
-    return archive.interp_cache[1]
-
-
 # uniform time nodes of the space-time trapezoid rule
 _TIME_NODES = 801
 
 
-def evaluate_functionals(archive: SolutionArchive, tf: TestFunctions,
-                         p: float) -> FunctionalReport:
-    """Space-time quadrature of the weighted functionals for one radius R.
+def evaluate_functionals(archive: SolutionArchive, eta: Eta, R: float, p: float,
+                         K: float = 1.0, spline: _TimeSpline | None = None
+                         ) -> FunctionalReport:
+    """Space-time quadrature of the weighted functionals for one radius R,
+    with the cutoff eta_R and the weight phi rescaled by K R.
 
     Trapezoid in time on a uniform refinement of the stored snapshot grid
     (cubic interpolation between snapshots) and plain grid sums in space.
-    The archive must cover [0, R^(2 sigma_min)].
+    The archive must cover [0, R^(2 sigma_min)].  spline is the time spline
+    of the archive's snapshots, which a sweep builds once for all its radii;
+    without it the call builds its own, with the same values.
     """
     grid = archive.grid
     params = archive.params
-    t_span = tf.R ** (2.0 * params.sigma_min)
+    t_span = R ** (2.0 * params.sigma_min)
     t_last = archive.times[-1]
     if t_span > t_last + 1e-12:
         raise ValueError(
             f"archive covers t <= {t_last:.6g} but the cutoff needs {t_span:.6g}")
 
-    phi_r, lap_phi, frac_phi = _weight_fields(archive, tf)
+    phi_r, lap_phi, frac_phi = _weight_fields(archive, R, K)
     dv = grid.cell_volume
-    spline = _interpolant(archive)
+    if spline is None:
+        spline = _TimeSpline(archive.times, archive.fields)
 
     tq = np.linspace(0.0, t_span, _TIME_NODES)
     tt = tq / t_span
-    eta_v = tf.eta(tt)
-    eta_d1 = tf.eta.d1(tt) / t_span
-    eta_d2 = tf.eta.d2(tt) / t_span**2
+    eta_v = eta(tt)
+    eta_d1 = eta.d1(tt) / t_span
+    eta_d2 = eta.d2(tt) / t_span**2
 
     uq = spline(tq)
     flat = uq.reshape(_TIME_NODES, -1)
@@ -435,12 +413,8 @@ def scaling_sweep(archive: SolutionArchive, eta: Eta, R_list, p: float,
     if R[-1] / R[0] < math.sqrt(10.0) * (1 - 1e-9):
         raise ValueError("R_list must span at least half a decade")
     params = archive.params
-    sigma0 = default_sigma0(params.sigma)
-
-    reports = []
-    for r in R:
-        tf = TestFunctions(sigma0=sigma0, eta=eta, R=r, K=K)
-        reports.append(evaluate_functionals(archive, tf, p))
+    spline = _TimeSpline(archive.times, archive.fields)
+    reports = [evaluate_functionals(archive, eta, r, p, K=K, spline=spline) for r in R]
 
     noise = 1e-14 * max(abs(rep.j_r) for rep in reports)
     if any(rep.j_r_tilde <= noise for rep in reports):

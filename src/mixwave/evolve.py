@@ -94,7 +94,11 @@ class MassAccumulator:
 
 @dataclass
 class SolutionArchive:
-    """Stored physical snapshots of u for the space-time functionals."""
+    """Stored physical snapshots of u for the space-time functionals.
+
+    A plain record: the time spline through the snapshots belongs to the
+    blowup sweep that builds it, and lives no longer than that sweep.
+    """
 
     grid: Grid
     params: OperatorParams
@@ -103,12 +107,6 @@ class SolutionArchive:
     u1: np.ndarray           # eps-scaled velocity datum
     times: list[float] = field(default_factory=list)
     fields: list[np.ndarray] = field(default_factory=list)
-    # (snapshot count, blowup._TimeSpline of the snapshots), built by the
-    # blowup module's space-time quadrature on first use, again after appends;
-    # the spline references the arrays in fields without copying them, so an
-    # archived field must never be written in place
-    interp_cache: tuple | None = field(default=None, init=False, repr=False,
-                                       compare=False)
 
 
 @dataclass

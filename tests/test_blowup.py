@@ -10,8 +10,6 @@ from scipy.interpolate import CubicSpline
 from mixwave.blowup import (
     _PAD_FACTOR,
     SpatialWeight,
-    TestFunctions,
-    _interpolant,
     _TimeSpline,
     default_sigma0,
     eta_condition_value,
@@ -162,7 +160,7 @@ class TestFunctionals:
         arc = SolutionArchive(grid, P, 0.0, z, z,
                               times=[0.0, 1.0, 2.0, 3.0, 4.0],
                               fields=[z, z, z, z, z])
-        rep = evaluate_functionals(arc, TestFunctions(0.5, make_eta(1.5), 1.5), 1.5)
+        rep = evaluate_functionals(arc, make_eta(1.5), 1.5, 1.5)
         assert rep.j_r == 0.0 and rep.j_r_tilde == 0.0
         assert rep.terms == (0.0, 0.0, 0.0, 0.0)
         assert rep.data_term == 0.0
@@ -171,19 +169,19 @@ class TestFunctionals:
         arc, T = blowup_archive
         eta = make_eta(1.5)
         for R in np.geomspace(0.5, 0.9 * T, 9):
-            rep = evaluate_functionals(arc, TestFunctions(0.5, eta, R), 1.5)
+            rep = evaluate_functionals(arc, eta, R, 1.5)
             assert rep.j_r_tilde <= rep.j_r * (1 + 1e-12)
 
     def test_integration_by_parts_identity(self, smooth_archive):
         eta = make_eta(3.0)
-        rep = evaluate_functionals(smooth_archive, TestFunctions(0.5, eta, 10.0), 3.0)
+        rep = evaluate_functionals(smooth_archive, eta, 10.0, 3.0)
         scale = abs(rep.data_term) + abs(rep.j_r) + sum(abs(x) for x in rep.terms)
         assert abs(rep.identity_residual) <= 1e-4 * scale
 
     def test_insufficient_coverage_rejected(self, smooth_archive):
         eta = make_eta(3.0)
         with pytest.raises(ValueError, match="covers"):
-            evaluate_functionals(smooth_archive, TestFunctions(0.5, eta, 100.0), 3.0)
+            evaluate_functionals(smooth_archive, eta, 100.0, 3.0)
 
     def test_rescaling_change_of_variables(self):
         # evaluating with (R, K) equals evaluating the rescaled solution with
@@ -209,8 +207,8 @@ class TestFunctionals:
                                fields=[u_exact(R ** (2 * smin) * t, K * R * grid2.x)
                                        for t in times2])
         eta = make_eta(1.5)
-        rep = evaluate_functionals(arc, TestFunctions(0.5, eta, R, K), 1.5)
-        rep2 = evaluate_functionals(arc2, TestFunctions(0.5, eta, 1.0, 1.0), 1.5)
+        rep = evaluate_functionals(arc, eta, R, 1.5, K=K)
+        rep2 = evaluate_functionals(arc2, eta, 1.0, 1.5)
         jac = R ** (2 * smin) * (K * R)
         assert rep.j_r == pytest.approx(jac * rep2.j_r, rel=1e-6)
         assert rep.j_r_tilde == pytest.approx(jac * rep2.j_r_tilde, rel=1e-6)
@@ -306,15 +304,15 @@ class TestScalingSweep:
         assert max(cs) <= 1.2 * mid and min(cs) >= 0.8 * mid
 
     def test_shared_interpolant_matches_fresh_one_per_radius(self, blowup_archive):
+        # the sweep passes one spline to every radius; a call without one
+        # builds its own, with the same values
         arc, T = blowup_archive
         eta = make_eta(1.5)
         r_hi = 0.45 * T
         radii = np.geomspace(r_hi / math.sqrt(10), r_hi, 7)
         sweep = scaling_sweep(arc, eta, radii, 1.5)
         for r, rep in zip(sweep.radii, sweep.reports):
-            fresh = SolutionArchive(arc.grid, arc.params, arc.eps, arc.u0, arc.u1,
-                                    times=list(arc.times), fields=list(arc.fields))
-            assert evaluate_functionals(fresh, TestFunctions(0.5, eta, r), 1.5) == rep
+            assert evaluate_functionals(arc, eta, r, 1.5) == rep
 
     def test_spline_and_sweep_footprint(self, blowup_archive):
         # the spline keeps the n x N knot slopes and references the snapshots;
@@ -326,35 +324,15 @@ class TestScalingSweep:
         radii = np.geomspace(r_hi / math.sqrt(10), r_hi, 7)
 
         def traced_peak(f, *args):
-            # a fresh archive each time, so no cached spline is reused
-            fresh = SolutionArchive(arc.grid, arc.params, arc.eps, arc.u0, arc.u1,
-                                    times=list(arc.times), fields=list(arc.fields))
             tracemalloc.start()
             try:
-                f(fresh, *args)
+                f(*args)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        assert traced_peak(_interpolant) <= 2 * n * N * 8
-        assert traced_peak(scaling_sweep, eta, radii, 1.5) <= (801 + 2 * n) * N * 8
-
-    def test_interpolant_rebuilt_after_append(self):
-        grid = Grid(1, 64, 10.0)
-        z = np.zeros(grid.N)
-        arc = SolutionArchive(grid, P, 0.0, z, z, times=[0.0, 1.0, 2.0],
-                              fields=[z, z + 1.0, z + 4.0])
-        spline = _interpolant(arc)
-        assert _interpolant(arc) is spline
-        # three snapshots give the parabola t^2 through them
-        t = np.linspace(0.0, 2.0, 21)
-        assert np.all(np.isfinite(spline(t)))
-        np.testing.assert_allclose(spline(t)[:, 0], t**2, rtol=1e-14, atol=1e-14)
-        arc.times.append(3.0)
-        arc.fields.append(z + 9.0)
-        spline = _interpolant(arc)
-        assert spline.x.shape == (4,)
-        assert spline(3.0)[0] == pytest.approx(9.0)
+        assert traced_peak(_TimeSpline, arc.times, arc.fields) <= 2 * n * N * 8
+        assert traced_peak(scaling_sweep, arc, eta, radii, 1.5) <= (801 + 2 * n) * N * 8
 
     def test_targets_arithmetic(self):
         t = scaling_targets(P, 1.5)   # p' = 3
