@@ -72,13 +72,20 @@ class Eta:
 
 
 def eta_condition_value(eta: Eta, p: float, samples: int = 20001) -> float:
-    """Measured sup of eta^(-p'/p)(|eta'|^p' + |eta''|^p') over (1/2, 1)."""
+    """Measured sup of eta^(-p'/p)(|eta'|^p' + |eta''|^p') over (1/2, 1).
+
+    Formed as (|eta'| / eta^(1/p))^p' + (|eta''| / eta^(1/p))^p': each
+    quotient stays bounded for q >= 2p', while eta^(-p'/p) alone overflows
+    near t = 1 once p' is large (p <= 1.3).  The sup itself leaves the
+    float range, and reads inf, for p below about 1.017.
+    """
     pp = p / (p - 1.0)
     t = np.linspace(0.5, 1.0, samples)[:-1]
     e = eta(t)
     good = e > 0
-    val = e[good] ** (-pp / p) * (np.abs(eta.d1(t[good])) ** pp
-                                  + np.abs(eta.d2(t[good])) ** pp)
+    root = e[good] ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        val = (np.abs(eta.d1(t[good])) / root) ** pp + (np.abs(eta.d2(t[good])) / root) ** pp
     return float(val.max())
 
 
@@ -91,7 +98,8 @@ def make_eta(p: float) -> Eta:
     probe = Eta(q=q, condition_constant=float("nan"))
     c = eta_condition_value(probe, p)
     if not math.isfinite(c):
-        raise ValueError(f"cutoff configuration q={q} has unbounded condition value")
+        raise ValueError(f"cutoff configuration q={q} has a condition value beyond "
+                         "the float range")
     return Eta(q=q, condition_constant=c)
 
 
