@@ -49,6 +49,33 @@ class TestConfigResolution:
         assert run_cli(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "run.cfg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("word, value", [
+        ("yes", True), ("on", True), ("1", True), ("true", True),
+        ("no", False), ("off", False), ("0", False), ("false", False)])
+    def test_config_file_booleans(self, tmp_path, word, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"command = solve\nlinear = {word}\n")
+        assert read_config_file(str(path))["linear"] is value
+
+    def test_config_file_bad_boolean_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("command = solve\na = 1\nb = 1\nsigma = 0.5\nn = 1\nlinear = maybe\n")
+        assert run_cli(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "invalid value for key 'linear': 'maybe'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_line_without_equals_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("command = exponents\n# a comment\na 1\n")
+        assert run_cli(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"{path}:3: expected key = value" in capsys.readouterr().err
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.cfg"
+        assert run_cli(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read config file" in err and "absent.cfg" in err
+
     def test_missing_b_named(self):
         with pytest.raises(ConfigError, match="missing required key 'b'"):
             resolve_config(["exponents", "--a", "1", "--sigma", "0.5", "--n", "1"])
@@ -347,6 +374,21 @@ class TestCommands:
         assert code == 0
         rows = (out / "lifespan.dat").read_text().splitlines()[1:]
         assert rows == ["0.5 0.0", "0.25 3.5"]
+
+    def test_lifespan_critical_case_is_exploratory(self, tmp_path, capsys):
+        # p = p_crit = 2: no slope gate, and two records are too few for the
+        # exploratory fit of log T against eps^-(p-1)
+        out = tmp_path / "c"
+        code = run_cli(["lifespan-sweep", "--a", "1", "--b", "1", "--sigma", "0.5",
+                        "--n", "1", "--p", "2", "--eps-list", "0.5,5",
+                        "--grid-n", "64", "--box-l", "20", "--t-end", "5",
+                        "--threshold", "1000", "--out", str(out)])
+        assert code == 0
+        payload = json.loads((out / "lifespan.json").read_text())
+        assert payload["critical_fit_slope"] is None
+        assert payload["pass"] is True
+        assert "slope" not in payload
+        assert "critical-case linear fit residual" in capsys.readouterr().out
 
     def test_truncated_snapshot_header_exit_2(self, tmp_path, capsys):
         snaps = tmp_path / "snaps"

@@ -456,6 +456,19 @@ class TestRunExits:
         assert 1e8 not in out.crossings
         assert out.diagnostics["warnings"] == []
 
+    def test_band_cap_truncates_slow_divergence(self):
+        # dt_max caps the step at 1e-5, so sup|u| climbs from the threshold 1e3
+        # towards the band's end at 1e8 too slowly for the 50000 band steps
+        g = Grid(1, 64, 10.0)
+        st, u0, u1 = initial_state(g, eps=2400.0)
+        ctrl = StepControl(t_end=10.0, dt_max=1e-5, blowup_threshold=1e3, track_band=True)
+        out = run(P, st, ctrl, p=1.5, eps=2400.0, u0=u0, u1=u1)
+        assert out.status is RunStatus.BLEW_UP
+        assert out.t_final == out.crossings[1e3] < out.crossings[1e4]
+        assert 1e6 not in out.crossings
+        assert out.diagnostics["steps"] == 53088
+        assert out.diagnostics["warnings"] == ["band tracking truncated (slow divergence)"]
+
     def test_non_finite_step(self):
         # |u|^2 overflows at once; the first step is safety / sup|u| long
         ctrl = StepControl(t_end=1.0, blowup_threshold=1e300)

@@ -214,9 +214,12 @@ class TestDuhamelWeights:
         assert np.all(np.abs(w.w0) < 1e-15)
         assert np.all(np.abs(w.w1) < 1e-15)
 
-    @pytest.mark.parametrize("r", [0.0, 1e-4, 0.2071067811865476, 1.0, 35.0])
-    @pytest.mark.parametrize("h", [0.005, 0.05, 0.7])
-    def test_matches_adaptive_quadrature(self, r, h):
+    # h = 2.0 takes _phi_ladder's exp recurrence (|z| >= 1.6); at r = 35 there
+    # quad itself warns that it cannot reach the tolerance
+    @pytest.mark.parametrize("h, r", [
+        (h, r) for h in (0.005, 0.05, 0.7, 2.0)
+        for r in (0.0, 1e-4, 0.2071067811865476, 1.0, 35.0) if (h, r) != (2.0, 35.0)])
+    def test_matches_adaptive_quadrature(self, h, r):
         w = duhamel_weights(P, h, r)
         q0 = quad(lambda s: kernel_eval(P, s, r).k1[0], 0.0, h,
                   epsabs=1e-15, epsrel=1e-13)[0]
