@@ -20,55 +20,37 @@ from .torus import Grid, to_physical, to_spectral
 
 # --- time cutoff ------------------------------------------------------------
 
-def _smoothstep5(x):
-    """Quintic smoothstep S(x) = x^3 (10 - 15x + 6x^2) with S' and S'', for
-    0 < x < 1: S runs from 0 to 1 and is C^2-flat at both ends."""
-    return (x**3 * (10.0 - 15.0 * x + 6.0 * x**2),
-            30.0 * x**2 * (1.0 - x) ** 2,
-            60.0 * x * (1.0 - x) * (1.0 - 2.0 * x))
-
-
 @dataclass(frozen=True)
 class Eta:
     """Time cutoff: 1 on [0, 1/2], 0 from 1 on, nonincreasing between.
 
-    Realized as (1 - smoothstep(2t-1))^q with q >= 2p', which keeps the
-    quotient eta^(-p'/p) (|eta'|^p' + |eta''|^p') bounded on [1/2, 1];
-    the measured bound is stored, never assumed.
+    Realized as (1 - S(2t-1))^q with the quintic smoothstep
+    S(x) = x^3 (10 - 15x + 6x^2), which runs from 0 to 1 and is C^2-flat at
+    both ends, and q >= 2p', which keeps the quotient
+    eta^(-p'/p) (|eta'|^p' + |eta''|^p') bounded on [1/2, 1]; the measured
+    bound is stored, never assumed.
     """
 
     q: int
     condition_constant: float
 
-    @staticmethod
-    def _ramp(t):
-        """t as an array, the mask of the open ramp 1/2 < t < 1, and there
-        1 - S, S' and S'' at 2t - 1."""
+    def __call__(self, t):
+        """eta, eta' and eta'' at the times t, three arrays of t's shape."""
         t = np.asarray(t, float)
         inside = (t > 0.5) & (t < 1.0)
-        s, s1, s2 = _smoothstep5(2.0 * t[inside] - 1.0)
-        return t, inside, 1.0 - s, s1, s2
-
-    def __call__(self, t):
-        t, inside, b, _, _ = self._ramp(t)
-        out = np.where(t <= 0.5, 1.0, 0.0)
-        out[inside] = b**self.q
-        return out
-
-    def d1(self, t):
-        t, inside, b, s1, _ = self._ramp(t)
-        out = np.zeros_like(t)
-        out[inside] = -2.0 * self.q * b ** (self.q - 1) * s1
-        return out
-
-    def d2(self, t):
-        t, inside, b, s1, s2 = self._ramp(t)
+        x = 2.0 * t[inside] - 1.0
         # 1 - S rounds below 0 for some x just under 1
-        b = np.maximum(b, 0.0)
-        out = np.zeros_like(t)
-        out[inside] = 4.0 * self.q * ((self.q - 1) * b ** (self.q - 2) * s1**2
-                                      - b ** (self.q - 1) * s2)
-        return out
+        b = np.maximum(1.0 - x**3 * (10.0 - 15.0 * x + 6.0 * x**2), 0.0)
+        s1 = 30.0 * x**2 * (1.0 - x) ** 2
+        s2 = 60.0 * x * (1.0 - x) * (1.0 - 2.0 * x)
+        q = self.q
+        eta = np.where(t <= 0.5, 1.0, 0.0)
+        eta[inside] = b**q
+        d1 = np.zeros_like(t)
+        d1[inside] = -2.0 * q * b ** (q - 1) * s1
+        d2 = np.zeros_like(t)
+        d2[inside] = 4.0 * q * ((q - 1) * b ** (q - 2) * s1**2 - b ** (q - 1) * s2)
+        return eta, d1, d2
 
 
 def eta_condition_value(eta: Eta, p: float, samples: int = 20001) -> float:
@@ -81,11 +63,11 @@ def eta_condition_value(eta: Eta, p: float, samples: int = 20001) -> float:
     """
     pp = p / (p - 1.0)
     t = np.linspace(0.5, 1.0, samples)[:-1]
-    e = eta(t)
+    e, d1, d2 = eta(t)
     good = e > 0
     root = e[good] ** (1.0 / p)
     with np.errstate(over="ignore"):
-        val = (np.abs(eta.d1(t[good])) / root) ** pp + (np.abs(eta.d2(t[good])) / root) ** pp
+        val = (np.abs(d1[good]) / root) ** pp + (np.abs(d2[good]) / root) ** pp
     return float(val.max())
 
 
@@ -356,9 +338,9 @@ def evaluate_functionals(archive: SolutionArchive, eta: Eta, R: float, p: float,
 
     tq = np.linspace(0.0, t_span, _TIME_NODES)
     tt = tq / t_span
-    eta_v = eta(tt)
-    eta_d1 = eta.d1(tt) / t_span
-    eta_d2 = eta.d2(tt) / t_span**2
+    eta_v, eta_d1, eta_d2 = eta(tt)
+    eta_d1 /= t_span
+    eta_d2 /= t_span**2
 
     uq = spline(tq)
     flat = uq.reshape(_TIME_NODES, -1)

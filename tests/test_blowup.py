@@ -9,6 +9,7 @@ from scipy.interpolate import CubicSpline
 
 from mixwave.blowup import (
     _PAD_FACTOR,
+    Eta,
     SpatialWeight,
     _TimeSpline,
     default_sigma0,
@@ -30,15 +31,24 @@ P = OperatorParams(1.0, 1.0, 0.5, 1)
 class TestEta:
     def test_plateau_values(self):
         eta = make_eta(1.5)
-        assert eta(0.25) == 1.0
-        assert eta(0.0) == 1.0
-        assert eta(2.0) == 0.0
-        assert eta(1.0) == 0.0
+        assert eta(0.25)[0] == 1.0
+        assert eta(0.0)[0] == 1.0
+        assert eta(2.0)[0] == 0.0
+        assert eta(1.0)[0] == 0.0
 
     def test_monotone_nonincreasing(self):
         eta = make_eta(1.5)
         t = np.linspace(0.0, 1.5, 400)
-        assert np.all(np.diff(eta(t)) <= 1e-15)
+        assert np.all(np.diff(eta(t)[0]) <= 1e-15)
+
+    def test_nonnegative_just_below_one_for_odd_power(self):
+        # 1 - S rounds to multiples of 2^-52 of either sign for x just under
+        # 1, so an unclamped odd power goes negative there; the clamped
+        # values are rounding noise below 1e-45, nonincreasing to 1e-15
+        t = 1.0 - np.arange(200000)[::-1] * 2.0**-53
+        e = Eta(3, float("nan"))(t)[0]
+        assert np.all(e >= 0.0)
+        assert np.all(np.diff(e) <= 1e-15)
 
     def test_condition_constant_finite(self):
         eta = make_eta(1.5)
@@ -64,10 +74,11 @@ class TestEta:
     def test_derivatives_match_finite_differences(self):
         eta = make_eta(2.0)
         t = np.linspace(0.52, 0.98, 97)
-        fd1 = (eta(t + 1e-6) - eta(t - 1e-6)) / 2e-6
-        assert np.max(np.abs(fd1 - eta.d1(t))) < 1e-7
-        fd2 = (eta(t + 1e-5) - 2 * eta(t) + eta(t - 1e-5)) / 1e-10
-        assert np.max(np.abs(fd2 - eta.d2(t)) / np.maximum(np.abs(eta.d2(t)), 1.0)) < 1e-4
+        e, d1, d2 = eta(t)
+        fd1 = (eta(t + 1e-6)[0] - eta(t - 1e-6)[0]) / 2e-6
+        assert np.max(np.abs(fd1 - d1)) < 1e-7
+        fd2 = (eta(t + 1e-5)[0] - 2 * e + eta(t - 1e-5)[0]) / 1e-10
+        assert np.max(np.abs(fd2 - d2) / np.maximum(np.abs(d2), 1.0)) < 1e-4
 
     def test_invalid_power_rejected(self):
         with pytest.raises(ValueError):
