@@ -27,12 +27,12 @@ class Eta:
     Realized as (1 - S(2t-1))^q with the quintic smoothstep
     S(x) = x^3 (10 - 15x + 6x^2), which runs from 0 to 1 and is C^2-flat at
     both ends, and q >= 2p', which keeps the quotient
-    eta^(-p'/p) (|eta'|^p' + |eta''|^p') bounded on [1/2, 1]; the measured
-    bound is stored, never assumed.
+    eta^(-p'/p) (|eta'|^p' + |eta''|^p') bounded on [1/2, 1]; the log10 of
+    the measured bound is stored, never assumed.
     """
 
     q: int
-    condition_constant: float
+    condition_log10: float
 
     def __call__(self, t):
         """eta, eta' and eta'' at the times t, three arrays of t's shape."""
@@ -54,35 +54,33 @@ class Eta:
 
 
 def eta_condition_value(eta: Eta, p: float, samples: int = 20001) -> float:
-    """Measured sup of eta^(-p'/p)(|eta'|^p' + |eta''|^p') over (1/2, 1).
+    """log10 of the measured sup of eta^(-p'/p)(|eta'|^p' + |eta''|^p')
+    over (1/2, 1).
 
-    Formed as (|eta'| / eta^(1/p))^p' + (|eta''| / eta^(1/p))^p': each
-    quotient stays bounded for q >= 2p', while eta^(-p'/p) alone overflows
-    near t = 1 once p' is large (p <= 1.3).  The sup itself leaves the
-    float range, and reads inf, for p below about 1.017.
+    Summed in log space, as logaddexp of p' (log|eta^(k)| - log(eta) / p)
+    for k = 1, 2, so that it is finite for every p > 1: the sup itself
+    leaves the float range for p below about 1.017 (it is about 10^581 at
+    p = 1.01).  A zero of eta'' contributes log 0 = -inf, which logaddexp
+    absorbs.
     """
     pp = p / (p - 1.0)
     t = np.linspace(0.5, 1.0, samples)[:-1]
     e, d1, d2 = eta(t)
     good = e > 0
-    root = e[good] ** (1.0 / p)
-    with np.errstate(over="ignore"):
-        val = (np.abs(d1[good]) / root) ** pp + (np.abs(d2[good]) / root) ** pp
-    return float(val.max())
+    log_root = np.log(e[good]) / p
+    with np.errstate(divide="ignore"):
+        val = np.logaddexp(pp * (np.log(np.abs(d1[good])) - log_root),
+                           pp * (np.log(np.abs(d2[good])) - log_root))
+    return float(val.max() / math.log(10.0))
 
 
 def make_eta(p: float) -> Eta:
-    """Concrete cutoff with a finite, measured condition constant for this p."""
+    """Concrete cutoff for this p > 1, with q = ceil(2p') and the log10 of
+    its measured condition constant."""
     if not p > 1:
         raise ValueError("p must exceed 1")
-    pp = p / (p - 1.0)
-    q = int(math.ceil(2.0 * pp))
-    probe = Eta(q=q, condition_constant=float("nan"))
-    c = eta_condition_value(probe, p)
-    if not math.isfinite(c):
-        raise ValueError(f"cutoff configuration q={q} has a condition value beyond "
-                         "the float range")
-    return Eta(q=q, condition_constant=c)
+    q = int(math.ceil(2.0 * p / (p - 1.0)))
+    return Eta(q=q, condition_log10=eta_condition_value(Eta(q, float("nan")), p))
 
 
 # --- spatial weight ---------------------------------------------------------

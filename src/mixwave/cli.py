@@ -415,7 +415,7 @@ def cmd_blowup_functional(cfg, params, out) -> tuple[dict, bool]:
         "exponents": sweep.exponents,
         "targets": sweep.targets,
         "deviations": dev,
-        "eta_condition_constant": eta.condition_constant,
+        "eta_condition_log10": eta.condition_log10,
         "bound_constants": sweep.bound_constants,
         "j_tilde_le_j": tilde_ok,
         "functionals": [

@@ -40,7 +40,7 @@ CASES = {
 }
 
 GOLDEN = {
-    "blowup-functional": "035e511a47501e555f92d32636c7e9c4c412be9d5d790822ede6e6fc35871c22",
+    "blowup-functional": "b62b5421ac03528df522a78855f45f305309e72239073284272fd57c81e45db2",
     "fraclap-check": "d27bc34d2fc7f53d6d2a9abbe458ef43a65bf9be6339804cef519afe43379075",
     "kernels": "353f598d48b7ca2928666d3af8b7884cf243d11f8eec64e4a3f58e256347dd24",
     "profile": "482aad271d7a741e19636fca3ecac13ccde317859ff8e36190c2be788bf7210b",
