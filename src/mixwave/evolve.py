@@ -324,8 +324,11 @@ def run(params: OperatorParams, state: FieldState, ctrl: StepControl, p: float, 
                 denom = math.inf    # a zero step: the underflow exit below
             if denom > 0.0:
                 h = min(h, ctrl.safety / denom)
-        if t + h == t:
-            # the adaptive step underflowed the clock: an unresolved divergence
+        # the adaptive step underflowed the clock, or the clock at dt_max,
+        # so that t would need 2^53 steps to get there (near t = 0 the clock
+        # resolves any step): an unresolved divergence.  The second test
+        # waits for one step, so a first step that overflows says so.
+        if t + h == t or (n_steps and ctrl.dt_max + h == ctrl.dt_max):
             warnings.append(f"step size underflow at t = {t}; treating as blow-up")
             break
         if prop is None or prop.h != h:

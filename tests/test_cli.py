@@ -2,6 +2,8 @@ import ast
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -416,6 +418,22 @@ class TestCommands:
         assert (out / "data_u0.bin").exists()
         assert (out / "final_slice.csv").exists()
         assert any(name.startswith("snap_") for name in os.listdir(out))
+
+    def test_solve_with_step_below_clock_resolution_ends(self, tmp_path):
+        # the step is about 1e-241, which the clock resolves near t = 0; in a
+        # subprocess with a timeout, so a regression fails instead of hanging
+        out = tmp_path / "s"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixwave.cli", "solve", "--a", "1", "--b", "1",
+             "--sigma", "0.5", "--n", "1", "--p", "400", "--eps", "10",
+             "--grid-n", "64", "--t-end", "1", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads((out / "run.json").read_text())
+        assert summary["status"] == "blew_up"
+        assert summary["diagnostics"]["steps"] == 1
+        assert any("step size underflow" in w for w in summary["diagnostics"]["warnings"])
 
     def test_linear_decay_csv_contract(self, tmp_path):
         out = tmp_path / "d"
