@@ -309,17 +309,15 @@ class _TimeSpline:
 _TIME_NODES = 801
 
 
-def evaluate_functionals(archive: SolutionArchive, eta: Eta, R: float, p: float,
-                         K: float = 1.0, spline: _TimeSpline | None = None
-                         ) -> FunctionalReport:
+def evaluate_functionals(archive: SolutionArchive, spline: _TimeSpline, eta: Eta,
+                         R: float, p: float, K: float = 1.0) -> FunctionalReport:
     """Space-time quadrature of the weighted functionals for one radius R,
     with the cutoff eta_R and the weight phi rescaled by K R.
 
     Trapezoid in time on a uniform refinement of the stored snapshot grid
     (cubic interpolation between snapshots) and plain grid sums in space.
     The archive must cover [0, R^(2 sigma_min)].  spline is the time spline
-    of the archive's snapshots, which a sweep builds once for all its radii;
-    without it the call builds its own, with the same values.
+    of the archive's snapshots, which a sweep builds once for all its radii.
     """
     grid = archive.grid
     params = archive.params
@@ -331,8 +329,6 @@ def evaluate_functionals(archive: SolutionArchive, eta: Eta, R: float, p: float,
 
     phi_r, lap_phi, frac_phi = _weight_fields(archive, R, K)
     dv = grid.cell_volume
-    if spline is None:
-        spline = _TimeSpline(archive.times, archive.fields)
 
     tq = np.linspace(0.0, t_span, _TIME_NODES)
     tt = tq / t_span
@@ -402,7 +398,7 @@ def scaling_sweep(archive: SolutionArchive, eta: Eta, R_list, p: float,
         raise ValueError("R_list must span at least half a decade")
     params = archive.params
     spline = _TimeSpline(archive.times, archive.fields)
-    reports = [evaluate_functionals(archive, eta, r, p, K=K, spline=spline) for r in R]
+    reports = [evaluate_functionals(archive, spline, eta, r, p, K=K) for r in R]
 
     noise = 1e-14 * max(abs(rep.j_r) for rep in reports)
     if any(rep.j_r_tilde <= noise for rep in reports):

@@ -28,6 +28,11 @@ from mixwave.torus import Grid, to_physical, to_spectral
 P = OperatorParams(1.0, 1.0, 0.5, 1)
 
 
+def spline_of(archive):
+    """The time spline through an archive's snapshots."""
+    return _TimeSpline(archive.times, archive.fields)
+
+
 class TestEta:
     def test_plateau_values(self):
         eta = make_eta(1.5)
@@ -179,7 +184,7 @@ class TestFunctionals:
         arc = SolutionArchive(grid, P, 0.0, z, z,
                               times=[0.0, 1.0, 2.0, 3.0, 4.0],
                               fields=[z, z, z, z, z])
-        rep = evaluate_functionals(arc, make_eta(1.5), 1.5, 1.5)
+        rep = evaluate_functionals(arc, spline_of(arc), make_eta(1.5), 1.5, 1.5)
         assert rep.j_r == 0.0 and rep.j_r_tilde == 0.0
         assert rep.terms == (0.0, 0.0, 0.0, 0.0)
         assert rep.data_term == 0.0
@@ -187,20 +192,21 @@ class TestFunctionals:
     def test_tilde_le_full_always(self, blowup_archive):
         arc, T = blowup_archive
         eta = make_eta(1.5)
+        spline = spline_of(arc)
         for R in np.geomspace(0.5, 0.9 * T, 9):
-            rep = evaluate_functionals(arc, eta, R, 1.5)
+            rep = evaluate_functionals(arc, spline, eta, R, 1.5)
             assert rep.j_r_tilde <= rep.j_r * (1 + 1e-12)
 
     def test_integration_by_parts_identity(self, smooth_archive):
         eta = make_eta(3.0)
-        rep = evaluate_functionals(smooth_archive, eta, 10.0, 3.0)
+        rep = evaluate_functionals(smooth_archive, spline_of(smooth_archive), eta, 10.0, 3.0)
         scale = abs(rep.data_term) + abs(rep.j_r) + sum(abs(x) for x in rep.terms)
         assert abs(rep.identity_residual) <= 1e-4 * scale
 
     def test_insufficient_coverage_rejected(self, smooth_archive):
         eta = make_eta(3.0)
         with pytest.raises(ValueError, match="covers"):
-            evaluate_functionals(smooth_archive, eta, 100.0, 3.0)
+            evaluate_functionals(smooth_archive, spline_of(smooth_archive), eta, 100.0, 3.0)
 
     def test_rescaling_change_of_variables(self):
         # evaluating with (R, K) equals evaluating the rescaled solution with
@@ -226,8 +232,8 @@ class TestFunctionals:
                                fields=[u_exact(R ** (2 * smin) * t, K * R * grid2.x)
                                        for t in times2])
         eta = make_eta(1.5)
-        rep = evaluate_functionals(arc, eta, R, 1.5, K=K)
-        rep2 = evaluate_functionals(arc2, eta, 1.0, 1.5)
+        rep = evaluate_functionals(arc, spline_of(arc), eta, R, 1.5, K=K)
+        rep2 = evaluate_functionals(arc2, spline_of(arc2), eta, 1.0, 1.5)
         jac = R ** (2 * smin) * (K * R)
         assert rep.j_r == pytest.approx(jac * rep2.j_r, rel=1e-6)
         assert rep.j_r_tilde == pytest.approx(jac * rep2.j_r_tilde, rel=1e-6)
@@ -323,15 +329,15 @@ class TestScalingSweep:
         assert max(cs) <= 1.2 * mid and min(cs) >= 0.8 * mid
 
     def test_shared_interpolant_matches_fresh_one_per_radius(self, blowup_archive):
-        # the sweep passes one spline to every radius; a call without one
-        # builds its own, with the same values
+        # the sweep passes one spline to every radius; a fresh spline per
+        # radius gives the same values
         arc, T = blowup_archive
         eta = make_eta(1.5)
         r_hi = 0.45 * T
         radii = np.geomspace(r_hi / math.sqrt(10), r_hi, 7)
         sweep = scaling_sweep(arc, eta, radii, 1.5)
         for r, rep in zip(sweep.radii, sweep.reports):
-            assert evaluate_functionals(arc, eta, r, 1.5) == rep
+            assert evaluate_functionals(arc, spline_of(arc), eta, r, 1.5) == rep
 
     def test_spline_and_sweep_footprint(self, blowup_archive):
         # the spline keeps the n x N knot slopes and references the snapshots;
