@@ -324,10 +324,10 @@ def run(params: OperatorParams, state: FieldState, ctrl: StepControl, p: float, 
                 denom = math.inf    # a zero step: the underflow exit below
             if denom > 0.0:
                 h = min(h, ctrl.safety / denom)
-        # the adaptive step underflowed the clock, or the clock at dt_max,
-        # so that t would need 2^53 steps to get there (near t = 0 the clock
-        # resolves any step): an unresolved divergence.  The second test
-        # waits for one step, so a first step that overflows says so.
+        # the adaptive step underflows the clock at t, or at dt_max, which t
+        # then cannot reach in 2^53 steps (near t = 0 the clock resolves any
+        # step): an unresolved divergence.  The test at dt_max waits for one
+        # step, so that a first step that overflows says so.
         if t + h == t or (n_steps and ctrl.dt_max + h == ctrl.dt_max):
             warnings.append(f"step size underflow at t = {t}; treating as blow-up")
             break
