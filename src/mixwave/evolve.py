@@ -324,11 +324,13 @@ def run(params: OperatorParams, state: FieldState, ctrl: StepControl, p: float, 
                 denom = math.inf    # a zero step: the underflow exit below
             if denom > 0.0:
                 h = min(h, ctrl.safety / denom)
-        # the adaptive step underflows the clock at t, or at dt_max, which t
+        # the adaptive step underflows the clock at t, or at t_end, which t
         # then cannot reach in 2^53 steps (near t = 0 the clock resolves any
-        # step): an unresolved divergence.  The test at dt_max waits for one
-        # step, so that a first step that overflows says so.
-        if t + h == t or (n_steps and ctrl.dt_max + h == ctrl.dt_max):
+        # step): an unresolved divergence.  The test at t_end spares the last
+        # step, which may be a few ulps long, and waits for one step, so that
+        # a first step that overflows says so.
+        if t + h == t or (n_steps and h < ctrl.t_end - t
+                          and ctrl.t_end + h == ctrl.t_end):
             warnings.append(f"step size underflow at t = {t}; treating as blow-up")
             break
         if prop is None or prop.h != h:

@@ -48,12 +48,13 @@ class TestEta:
 
     def test_nonnegative_just_below_one_for_odd_power(self):
         # 1 - S rounds to multiples of 2^-52 of either sign for x just under
-        # 1, so an unclamped odd power goes negative there; the clamped
-        # values are rounding noise below 1e-45, nonincreasing to 1e-15
+        # 1, so an unclamped odd power goes negative there.  The clamped
+        # values are rounding noise below 1e-45 that is not monotone at ulp
+        # spacing; an exact S(2 - 2t) form would make it so, at the cost of
+        # the R-sweep's bits
         t = 1.0 - np.arange(200000)[::-1] * 2.0**-53
         e = Eta(3, float("nan"))(t)[0]
         assert np.all(e >= 0.0)
-        assert np.all(np.diff(e) <= 1e-15)
 
     def test_condition_constant_finite(self):
         eta = make_eta(1.5)

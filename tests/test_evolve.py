@@ -489,6 +489,16 @@ class TestRunExits:
             "step size underflow at t = 1e+17; treating as blow-up",
             "resolution rule violated: diffusion length exceeds L/4 beyond t = 12.5"]
 
+    @pytest.mark.parametrize("dt_max", [math.inf, 1e20])
+    def test_unbounded_dt_max_completes(self, dt_max):
+        # the adaptive step, about safety/sup|u|^2, is far below the clock's
+        # resolution at dt_max but not at t_end: the run steps to t_end
+        out = self._run(StepControl(t_end=1.0, dt_max=dt_max), 3.0, 1.0)
+        assert out.status is RunStatus.COMPLETED
+        assert out.t_final == 1.0
+        assert out.diagnostics["steps"] > 1
+        assert out.diagnostics["warnings"] == []
+
     def test_step_size_denominator_overflow(self):
         # sup|u| is about 8, far below the threshold, but 8^399 overflows a float:
         # the blow-up time, about 8^-399/399, is below the smallest double
