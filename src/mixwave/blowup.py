@@ -139,21 +139,38 @@ def frac_lap_phi(sigma: float, sigma0: float, L_eval: float,
             "increase L_eval")
     N = 1 << int(math.ceil(math.log2(max(64, 2 * L_big * points_per_unit))))
     grid = Grid(1, N, L_big)
-    # The big grid has 2^19 points at L_eval = 2560, so every full-size array
-    # is built in place and freed once used, and the coordinates and radii
-    # come from throwaway Grids whose caches die with them.  The operations
-    # are those of w(grid.radius_sq()) and chat * grid.radii ** (2 sigma).
-    phi = Grid(1, N, L_big).x      # x, until it becomes w(x^2) in place
-    inner = np.abs(phi) <= 0.5 * L_eval
-    x_inner = phi[inner]
+    dx = grid.dx
+    # The window |x| <= L_eval/2 is the index range [lo, hi).  Its end points
+    # N/2 -+ N/32 lie on the grid in exact arithmetic; one whose rounded x
+    # falls outside is dropped, as the mask |x| <= L_eval/2 drops it.
+    lo, hi = N // 2 - N // 32, N // 2 + N // 32 + 1
+    lo += abs(-L_big + dx * lo) > 0.5 * L_eval
+    hi -= abs(-L_big + dx * (hi - 1)) > 0.5 * L_eval
+    # The window arrays are allocated before the full-size ones: one that
+    # outlives the call, placed after them, would keep their freed memory
+    # resident.
+    x_inner = -L_big + dx * np.arange(lo, hi)
+    phi_inner = w(x_inner**2)
+    field_inner = np.empty_like(x_inner)
+    # The big grid has 2^19 points at L_eval = 2560, so the only full-size
+    # arrays are the two transforms' operands: the weight, built in place in
+    # the buffer that then takes the inverse transform, and its spectrum.
+    # The operations are those of w(grid.radius_sq()) and
+    # chat * grid.radii ** (2 sigma).
+    phi = np.arange(N, dtype=float)     # k, then x = -L + dx k, then w(x^2)
+    phi *= dx
+    phi += -L_big
     phi **= 2
     phi += 1.0
     phi **= -w.beta / 2.0
     chat = to_spectral(grid, phi)
-    phi = phi[inner]
-    chat *= Grid(1, N, L_big).radii ** (2.0 * sigma)
-    field = to_physical(grid, chat)[inner]
-    return FracLapReport(float((np.abs(field) / phi).max()), field, x_inner)
+    xi = np.arange(N // 2 + 1, dtype=float)    # k, then |xi| = k pi / L,
+    xi *= math.pi / L_big                      # then |xi|^(2 sigma)
+    xi **= 2.0 * sigma
+    chat *= xi
+    del xi
+    field_inner[...] = to_physical(grid, chat, out=phi)[lo:hi]
+    return FracLapReport(float((np.abs(field_inner) / phi_inner).max()), field_inner, x_inner)
 
 
 # --- space-time functionals ---------------------------------------------------

@@ -482,7 +482,9 @@ def main(argv=None) -> int:
         payload, passed = command(cfg, params, out)
         io.write_json(os.path.join(out, summary),
                       {"config": dict(sorted(cfg.items())), **payload})
-    except (ConfigError, ExperimentInvalid, QuadratureError, ValueError) as exc:
+    # a grid too large to allocate raises numpy's "Unable to allocate ..."
+    except (ConfigError, ExperimentInvalid, QuadratureError, ValueError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

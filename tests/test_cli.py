@@ -162,6 +162,15 @@ class TestConfigResolution:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_grid_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # l_eval 1e15 asks for a 2^57-point grid: 1 EiB per array and 64 PiB
+        # for its window, beyond any 64-bit address space, so the first
+        # allocation fails at once; it used to end in a raw traceback, exit 1
+        code = run_cli(["fraclap-check", "--a", "1", "--b", "1", "--sigma", "1.5",
+                        "--n", "1", "--l-eval", "1e15", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error: Unable to allocate" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, key, raw", [
         ("exponents", "t_end", "5"),
         ("kernels", "p", "2"),
