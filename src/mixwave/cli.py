@@ -478,10 +478,11 @@ def main(argv=None) -> int:
     command, summary, _ = COMMANDS[cfg["command"]]
     try:
         params = OperatorParams(cfg["a"], cfg["b"], cfg["sigma"], cfg["n"])
-        out = io.ensure_dir(cfg["out"])
-        payload, passed = command(cfg, params, out)
-        io.write_json(os.path.join(out, summary),
-                      {"config": dict(sorted(cfg.items())), **payload})
+        # an error inside leaves no directory that this call created behind
+        with io.output_dir(cfg["out"]) as out:
+            payload, passed = command(cfg, params, out)
+            io.write_json(os.path.join(out, summary),
+                          {"config": dict(sorted(cfg.items())), **payload})
     # a grid too large to allocate raises numpy's "Unable to allocate ..."
     except (ConfigError, ExperimentInvalid, QuadratureError, ValueError,
             MemoryError) as exc:

@@ -54,13 +54,6 @@ def gate(name: str, value: float, target: float = 0.0) -> tuple[bool, float]:
     return bool(compare(deviation, tol)), 1.0 - deviation / tol
 
 
-def _solution_multiplier(params: OperatorParams):
-    def mult(t, r):
-        kv = kernel_eval(params, t, r)
-        return kv.k0 + kv.k1
-    return mult
-
-
 @dataclass(frozen=True)
 class SlopeFit:
     s: float
@@ -98,10 +91,16 @@ def decay_experiment(params: OperatorParams, s_list=(0.0, None), mode: str = "ra
     fits: list[SlopeFit] = []
     series: dict[float, list[tuple[float, float]]] = {}
     datum = gaussian_datum(params.n, width=datum_width)
-    mult = _solution_multiplier(params)
+
+    def norm(s, t):
+        def field(r):        # transform of the linear solution at time t
+            kv = kernel_eval(params, t, r)
+            return (kv.k0 + kv.k1) * datum.profile(r)
+        return hs_norm(params, field, s, t)
+
     ts = np.geomspace(t_window[0], t_window[1], n_samples)
     for s in s_vals:
-        pts = [(float(t), hs_norm(params, mult, datum, s, float(t))) for t in ts]
+        pts = [(float(t), norm(s, float(t))) for t in ts]
         series[s] = pts
         target = -(params.n + 2.0 * s) / (4.0 * params.sigma_min)
         fits.append(SlopeFit(s, fit_power_law(pts).slope, target, t_window))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,6 +44,25 @@ def write_plot_data(path, xs: Sequence[float], ys: Sequence[float],
             fh.write(f"{_fmt(x)} {_fmt(y)}\n")
 
 
-def ensure_dir(path) -> str:
+@contextmanager
+def output_dir(path):
+    """Create path and its missing parents for the body of the with block.
+
+    When the body raises, the directories this call created are removed,
+    deepest first, while they are empty; one that existed before is never
+    touched."""
+    created = []
+    head = os.path.abspath(path)
+    while not os.path.isdir(head):
+        created.append(head)
+        head = os.path.dirname(head)
     os.makedirs(path, exist_ok=True)
-    return path
+    try:
+        yield path
+    except BaseException:
+        for directory in created:
+            try:
+                os.rmdir(directory)
+            except OSError:         # not empty: keep it and every parent
+                break
+        raise

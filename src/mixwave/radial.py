@@ -37,34 +37,15 @@ class RadialDatum:
     l1_mass: float
 
 
-def gaussian_datum(n: int, width: float = 1.0, mass: float = 1.0) -> RadialDatum:
-    """Gaussian bump of prescribed spatial integral; closed-form transform."""
+def gaussian_datum(n: int, width: float = 1.0) -> RadialDatum:
+    """Gaussian bump of unit spatial integral; closed-form transform."""
     w2 = width * width
 
     def profile(r):
         r = np.asarray(r, float)
-        return mass * (2.0 * math.pi) ** (-n / 2.0) * np.exp(-0.5 * w2 * r**2)
+        return (2.0 * math.pi) ** (-n / 2.0) * np.exp(-0.5 * w2 * r**2)
 
-    return RadialDatum(profile, mass)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Panel layout for the radial integrals.
-
-    panel_order Gauss-Legendre nodes per panel, r_max as fixed upper cutoff
-    (None selects it adaptively from the integrand).
-    """
-
-    panel_order: int = 32
-    r_max: float | None = None
-
-    def __post_init__(self):
-        if self.panel_order < 8:
-            raise ValueError("panel_order must be at least 8")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+    return RadialDatum(profile, 1.0)
 
 
 class QuadratureError(RuntimeError):
@@ -142,19 +123,21 @@ def _panel_integral(f: Callable[[np.ndarray], np.ndarray], bounds: list[tuple],
 
 
 def radial_integral(f: Callable[[np.ndarray], np.ndarray],
-                    spec: QuadratureSpec = DEFAULT_QUADRATURE,
                     amplitude: Callable[[np.ndarray], np.ndarray] | None = None,
-                    phase: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
-    """integral_0^r_max f(r) dr with convergence control.
+                    phase: Callable[[np.ndarray], np.ndarray] | None = None,
+                    r_max: float | None = None, panel_order: int = 32) -> float:
+    """integral_0^r_max f(r) dr with convergence control, on Gauss-Legendre
+    panels of panel_order nodes.
 
-    phase, when given, is a monotone estimate of the integrand's oscillation
-    phase; panels are subdivided so each sees a bounded phase increment.
+    r_max None selects the cutoff from amplitude (f when None).  phase, when
+    given, is a monotone estimate of the integrand's oscillation phase; panels
+    are subdivided so each sees a bounded phase increment.
     """
-    amp = amplitude if amplitude is not None else f
-    r_max = spec.r_max if spec.r_max is not None else _adaptive_r_max(amp)
+    if r_max is None:
+        r_max = _adaptive_r_max(amplitude if amplitude is not None else f)
     bounds = _panel_bounds(r_max, phase)
-    full = _panel_integral(f, bounds, spec.panel_order)
-    half = _panel_integral(f, bounds, max(4, spec.panel_order // 2))
+    full = _panel_integral(f, bounds, panel_order)
+    half = _panel_integral(f, bounds, max(4, panel_order // 2))
     # the difference is dominated by the half-order error, so the gate only
     # screens for unresolved integrands, not the achieved accuracy
     err = abs(full - half)
@@ -173,25 +156,25 @@ def kernel_phase(params: OperatorParams, t: float):
     return phase
 
 
-def hs_norm(params: OperatorParams, multiplier: Callable, datum: RadialDatum,
-            s: float, t: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Hs norm of the field whose transform is multiplier(t, r) * profile(r).
+def hs_norm(params: OperatorParams, field: Callable[[np.ndarray], np.ndarray],
+            s: float, t: float,
+            envelope: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
+    """Hs norm of the radial field whose transform at time t is field(r).
 
-    Returns (omega_{n-1} * int r^(2s+n-1) |multiplier * profile|^2 dr)^(1/2);
-    deterministic for a fixed QuadratureSpec.  Panels are subdivided for the
-    trigonometric kernel regime (harmless for smooth multipliers).
+    Returns (omega_{n-1} * int r^(2s+n-1) field(r)^2 dr)^(1/2).  The cutoff is
+    chosen from envelope, or from field when envelope is None; panels are
+    subdivided for the kernels' oscillation at time t (harmless for smooth
+    fields).
     """
     if s < 0 or t < 0:
         raise ValueError("s and t must be nonnegative")
     n = params.n
 
-    def product(r):
-        return multiplier(t, r) * datum.profile(r)
-
     def f(r):
-        return r ** (2.0 * s + n - 1.0) * product(r) ** 2
+        return r ** (2.0 * s + n - 1.0) * field(r) ** 2
 
-    val = radial_integral(f, spec, amplitude=product, phase=kernel_phase(params, t))
+    val = radial_integral(f, amplitude=envelope if envelope is not None else field,
+                          phase=kernel_phase(params, t))
     return math.sqrt(surface_area(n) * max(val, 0.0))
 
 
@@ -199,22 +182,16 @@ def profile_error(params: OperatorParams, datum0: RadialDatum, datum1: RadialDat
                   s: float, t: float) -> float:
     """Hs distance between the linear solution and the mass-scaled profile.
 
-    The integrand is the single multiplier K0*f0 + K1*f1 - (2pi)^(-n/2) * P * ghat,
+    The field is the single multiplier K0*f0 + K1*f1 - (2pi)^(-n/2) * P * ghat,
     so the leading parts cancel inside one quadrature instead of between two.
     """
-    if s < 0 or t < 0:
-        raise ValueError("s and t must be nonnegative")
-    n = params.n
     mass = datum0.l1_mass + datum1.l1_mass
-    const = (2.0 * math.pi) ** (-n / 2.0) * mass
+    const = (2.0 * math.pi) ** (-params.n / 2.0) * mass
 
     def diff(r):
         kv = kernel_eval(params, t, r)
         g = profile_hat(params, t, r)
         return kv.k0 * datum0.profile(r) + kv.k1 * datum1.profile(r) - const * g
-
-    def f(r):
-        return r ** (2.0 * s + n - 1.0) * diff(r) ** 2
 
     def amp(r):
         # envelope for cutoff selection: individual pieces, not the difference,
@@ -224,8 +201,7 @@ def profile_error(params: OperatorParams, datum0: RadialDatum, datum1: RadialDat
         return (np.abs(kv.k0 * datum0.profile(r)) + np.abs(kv.k1 * datum1.profile(r))
                 + abs(const) * g)
 
-    val = radial_integral(f, amplitude=amp, phase=kernel_phase(params, t))
-    return math.sqrt(surface_area(n) * max(val, 0.0))
+    return hs_norm(params, diff, s, t, envelope=amp)
 
 
 @dataclass(frozen=True)

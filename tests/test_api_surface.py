@@ -41,10 +41,8 @@ PARAMETER_ORACLES = {
     "evolve.etd2_step(forcing)": "criterion 5: manufactured solutions need a forcing",
     "blowup.eta_condition_value(samples)": "refinement test of the measured constant",
     "blowup.frac_lap_phi(points_per_unit)": "refinement test of the spectral Laplacian",
-    "radial.hs_norm(spec)": "the panel-order doubling test",
-    "radial.QuadratureSpec(panel_order)": "the panel-order doubling test",
-    "radial.QuadratureSpec(r_max)": "criterion 2: the incomplete-gamma oracle",
-    "radial.gaussian_datum(mass)": "the mass-convention tests",
+    "radial.radial_integral(r_max)": "criterion 2: the incomplete-gamma oracle",
+    "radial.radial_integral(panel_order)": "the panel-order doubling test",
 }
 MEMBER_ORACLES = {
     "blowup.FracLapReport.field_inner": "the closed-form fractional Laplacian tests",

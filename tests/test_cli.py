@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
-from mixwave import cli
+from mixwave import cli, io
 from mixwave.cli import ConfigError, main, read_config_file, resolve_config
 from mixwave.experiments import GATES, LifespanRecord, LifespanReport, gate
 from mixwave.torus import Grid, read_snapshot, write_snapshot
@@ -152,6 +152,9 @@ class TestConfigResolution:
         ("solve", "--safety", "0", "out-of-range key 'safety': must be in (0, 1], got 0.0"),
         ("solve", "--safety", "1.5", "out-of-range key 'safety'"),
         ("kernels", "--seed", "-1", "out-of-range key 'seed'"),
+        ("solve", "--sigma", "-0.5", "out-of-range key 'sigma': must be positive"),
+        ("solve", "--n", "0", "out-of-range key 'n': must be a positive integer"),
+        ("solve", "--p", "1", "out-of-range key 'p': must exceed 1"),
     ])
     def test_list_and_width_ranges_exit_2(self, tmp_path, capsys, command, flag, raw,
                                           message):
@@ -170,6 +173,29 @@ class TestConfigResolution:
                         "--n", "1", "--l-eval", "1e15", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error: Unable to allocate" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("out", ["o", "o/new/deeper"])
+    def test_exit_2_keeps_an_output_directory_that_existed(self, tmp_path, capsys, out):
+        # the directories the call made are removed, the one it found is kept
+        (tmp_path / "o").mkdir()
+        code = run_cli(["solve", "--a", "1", "--b", "1", "--sigma", "0.5", "--n", "1",
+                        "--p", "2", "--grid-n", "64", "--eps", "1e9",
+                        "--out", str(tmp_path / out)])
+        assert code == 2
+        assert "at or over the blow-up threshold" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["o"]
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_unknown_command_in_config_file_exits_2(self, tmp_path, capsys):
+        # the command-line parser checks the positional command; a config
+        # file's is checked once the keys are merged
+        path = tmp_path / "run.cfg"
+        path.write_text("command = bogus\na = 1\nb = 1\nsigma = 0.5\nn = 1\n")
+        code = run_cli(["--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error: unknown command 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, key, raw", [
         ("exponents", "t_end", "5"),
@@ -223,6 +249,17 @@ class TestConfigResolution:
         captured = capsys.readouterr()
         assert "at or over the blow-up threshold" in captured.err
         assert "blew_up" not in captured.out
+        assert not (tmp_path / "o").exists()
+
+
+def test_output_dir_keeps_what_the_failing_body_wrote(tmp_path):
+    # only empty directories go: a file written before the error keeps its
+    # directory and every parent of it
+    with pytest.raises(RuntimeError):
+        with io.output_dir(str(tmp_path / "a" / "b" / "c")):
+            (tmp_path / "a" / "b" / "partial.csv").write_text("t\n")
+            raise RuntimeError("after the first file")
+    assert [p.name for p in (tmp_path / "a" / "b").iterdir()] == ["partial.csv"]
 
 
 _VALUE_KEYS = [k for k, (typ, _, _) in cli.CONFIG_KEYS.items()
@@ -370,6 +407,7 @@ class TestCommands:
                         "--out", str(tmp_path / "o")])
         assert code == 2
         assert "at least two" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_lifespan_keeps_zero_blowup_time(self, tmp_path, monkeypatch):
         # a member that blew up at t = 0.0 is a usable record, not a missing one
@@ -495,6 +533,14 @@ class TestCommands:
         payload = json.loads((func_out / "blowup_functional.json").read_text())
         assert payload["j_tilde_le_j"] is True
         assert gate("j4_exponent", payload["exponents"]["j4"], payload["targets"]["j4"])[0]
+        # radii given as r_list are swept as given, in place of the default seven
+        code = run_cli(["blowup-functional", "--a", "1", "--b", "1",
+                        "--sigma", "0.5", "--n", "1", "--p", "1.5",
+                        "--eps", "1.0", "--snapshots-dir", str(solve_out),
+                        "--r-list", "1.5,5", "--out", str(func_out)])
+        assert code == 0
+        payload = json.loads((func_out / "blowup_functional.json").read_text())
+        assert payload["radii"] == [1.5, 5.0]
 
 
 class TestStoredSnapshotChecks:

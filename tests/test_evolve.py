@@ -43,6 +43,10 @@ def test_step_control_validation():
         StepControl(t_end=1.0, safety=1.5)
     with pytest.raises(ValueError):
         StepControl(t_end=1.0, blowup_threshold=100.0)
+    with pytest.raises(ValueError, match="record_ratio must exceed 1"):
+        StepControl(t_end=1.0, record_ratio=1.0)
+    with pytest.raises(ValueError, match="record_t0 must be positive"):
+        StepControl(t_end=1.0, record_t0=0.0)
 
 
 @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), 0.0, -1.0])
@@ -480,6 +484,24 @@ class TestRunExits:
         assert out.t_final == h
         assert out.diagnostics["steps"] == 0
         assert out.diagnostics["warnings"] == [f"non-finite values during step at t = {h}"]
+
+    def test_non_finite_state_after_a_step(self, monkeypatch):
+        # a step that hands back NaN without raising: the sup norm at the top
+        # of the next step catches it, and the run ends as a blow-up there
+        step = evolve.etd2_step
+
+        def poisoned(*args, **kwargs):
+            new = step(*args, **kwargs)
+            new.uhat[1] = np.nan
+            return new
+
+        monkeypatch.setattr(evolve, "etd2_step", poisoned)
+        with np.errstate(invalid="ignore"):
+            out = self._run(StepControl(t_end=2.0), 3.0, 0.01)
+        assert out.status is RunStatus.BLEW_UP
+        assert out.diagnostics["steps"] == 1
+        assert out.t_final == 0.05
+        assert out.diagnostics["warnings"] == ["non-finite values at t = 0.05"]
 
     def test_step_size_underflow(self):
         out = self._run(StepControl(t_end=2e17), 3.0, 0.01, t0=1e17)

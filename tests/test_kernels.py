@@ -166,6 +166,8 @@ class TestKernelValues:
     def test_t_negative_rejected(self):
         with pytest.raises(ValueError):
             kernel_eval(P, -1.0, 1.0)
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            kernel_eval(P, np.array([1.0, -1.0]), 1.0)
 
     @pytest.mark.parametrize("t, r, cause", [
         (0.0, [1.0, np.inf, np.nan], "radius r is NaN"),
@@ -187,6 +189,10 @@ class TestProfileHat:
         assert profile_hat(P, 1.0, 1.0) == pytest.approx(math.exp(-1.0))
         q = OperatorParams(2.0, 1.0, 1.5, 1)
         assert profile_hat(q, 3.0, 1.0) == pytest.approx(math.exp(-6.0))
+
+    def test_t_negative_rejected(self):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            profile_hat(P, -1.0, 1.0)
 
     def test_identity_at_t0_and_r0(self):
         assert profile_hat(P, 0.0, 5.0) == 1.0

@@ -81,3 +81,6 @@ def test_theorem_hypotheses_flags():
     notes = theorem_hypotheses(p, 1.5)
     assert any("p >= 2" in note for note in notes)
     assert any("blow-up range" in note for note in notes)
+    # n = 2 > 2 sigma_min: p = 3 exceeds n/(n - 2 sigma_min) = 2
+    notes = theorem_hypotheses(OperatorParams(1.0, 1.0, 0.5, 2), 3.0)
+    assert notes == ["p = 3.0 > n/(n - 2 sigma_min) = 2.0"]

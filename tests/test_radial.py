@@ -9,7 +9,7 @@ from mixwave.kernels import kernel_eval, profile_hat
 from mixwave.params import OperatorParams
 from mixwave.radial import (
     _PHASE_PER_PANEL,
-    QuadratureSpec,
+    QuadratureError,
     RadialDatum,
     fit_power_law,
     _panel_splits,
@@ -23,7 +23,14 @@ from mixwave.radial import (
 )
 
 P = OperatorParams(1.0, 1.0, 0.5, 1)
-ONES = lambda t, r: np.ones_like(np.asarray(r, float))
+
+
+def solution(params, t, datum):
+    """Transform of the linear solution at time t from u0 = u1 = datum."""
+    def field(r):
+        kv = kernel_eval(params, t, r)
+        return (kv.k0 + kv.k1) * datum.profile(r)
+    return field
 
 
 def test_surface_area_values():
@@ -35,23 +42,25 @@ def test_surface_area_values():
 
 
 def test_gaussian_datum_mass_convention():
+    # unit spatial integral: profile(0) == (2 pi)^(-n/2)
     for n in (1, 2):
-        g = gaussian_datum(n, width=1.3, mass=2.5)
-        assert g.profile(np.array([0.0]))[0] == pytest.approx(
-            (2 * math.pi) ** (-n / 2) * 2.5)
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(panel_order=4)
+        g = gaussian_datum(n, width=1.3)
+        assert g.l1_mass == 1.0
+        assert g.profile(np.array([0.0]))[0] == pytest.approx((2 * math.pi) ** (-n / 2))
 
 
 def test_plancherel_identity():
-    # multiplier 1: the norm equals the datum's physical-space L2 norm
-    g = gaussian_datum(1, width=1.0, mass=1.0)
-    got = hs_norm(P, ONES, g, s=0.0, t=0.0)
+    # the t = 0 field is the datum: the norm equals its physical-space L2 norm
+    g = gaussian_datum(1, width=1.0)
+    got = hs_norm(P, g.profile, s=0.0, t=0.0)
     exact = (2 * math.pi) ** (-0.5) * math.pi**0.25
     assert got == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("s,t", [(-0.1, 1.0), (0.0, -1.0)])
+def test_hs_norm_rejects_negative_s_or_t(s, t):
+    with pytest.raises(ValueError, match="nonnegative"):
+        hs_norm(P, gaussian_datum(1).profile, s, t)
 
 
 def closed_form_truncated(n, s, theta, c, t, eps0):
@@ -64,49 +73,46 @@ def closed_form_truncated(n, s, theta, c, t, eps0):
 @pytest.mark.parametrize("t", [10.0, 1000.0])
 def test_incomplete_gamma_oracle(n, s, theta, t):
     c, eps0 = 0.8, 0.5
-    spec = QuadratureSpec(r_max=eps0)
     got = radial_integral(lambda r: r ** (2 * s + n - 1) * np.exp(-2 * c * r ** (2 * theta) * t),
-                          spec)
+                          r_max=eps0)
     assert got == pytest.approx(closed_form_truncated(n, s, theta, c, t, eps0), rel=1e-8)
 
 
 def test_velocity_kernel_norm_decay_ratio():
     # 100x in time shrinks the norm ~10x for the half-power rate
     g = gaussian_datum(1)
-    def mult(t, r):
-        return kernel_eval(P, t, r).k1
-    n1 = hs_norm(P, mult, g, 0.0, 1e2)
-    n2 = hs_norm(P, mult, g, 0.0, 1e4)
+    def velocity(t):
+        return lambda r: kernel_eval(P, t, r).k1 * g.profile(r)
+    n1 = hs_norm(P, velocity(1e2), 0.0, 1e2)
+    n2 = hs_norm(P, velocity(1e4), 0.0, 1e4)
     assert n2 / n1 == pytest.approx(0.1, rel=0.05)
 
 
 def test_panel_order_doubling_invariance():
-    g = gaussian_datum(1)
-    def mult(t, r):
-        kv = kernel_eval(P, t, r)
-        return kv.k0 + kv.k1
-    a = hs_norm(P, mult, g, 0.0, 50.0, QuadratureSpec(panel_order=32))
-    b = hs_norm(P, mult, g, 0.0, 50.0, QuadratureSpec(panel_order=64))
+    # hs_norm's 32-point panels against the same integral on 64-point panels
+    t = 50.0
+    field = solution(P, t, gaussian_datum(1))
+    a = hs_norm(P, field, 0.0, t)
+    b = math.sqrt(surface_area(1) * radial_integral(
+        lambda r: field(r) ** 2, amplitude=field, phase=kernel_phase(P, t), panel_order=64))
     assert abs(a - b) <= 1e-10 * a
 
 
 def test_tail_contribution_negligible():
     g = gaussian_datum(1)
-    spec_full = QuadratureSpec()
-    spec_half = QuadratureSpec(r_max=9.1)   # profile ~ 1e-18 of peak there
-    a = hs_norm(P, ONES, g, 0.0, 0.0, spec_full)
-    b = hs_norm(P, ONES, g, 0.0, 0.0, spec_half)
+    a = hs_norm(P, g.profile, 0.0, 0.0)
+    # profile ~ 1e-18 of peak at the fixed cutoff
+    b = math.sqrt(surface_area(1) * radial_integral(lambda r: g.profile(r) ** 2, r_max=9.1))
     assert abs(a - b) <= 1e-14 * a
 
 
 def test_linearity_in_datum_scale():
-    lam = 3.7
-    g1 = gaussian_datum(1, mass=1.0)
-    g2 = gaussian_datum(1, mass=lam)
-    def mult(t, r):
-        return kernel_eval(P, t, r).k0
-    assert hs_norm(P, mult, g2, 0.3, 5.0) == pytest.approx(
-        lam * hs_norm(P, mult, g1, 0.3, 5.0), rel=1e-12)
+    lam, t = 3.7, 5.0
+    g = gaussian_datum(1)
+    def field(r):
+        return kernel_eval(P, t, r).k0 * g.profile(r)
+    assert hs_norm(P, lambda r: lam * field(r), 0.3, t) == pytest.approx(
+        lam * hs_norm(P, field, 0.3, t), rel=1e-12)
 
 
 class TestProfileError:
@@ -132,16 +138,9 @@ class TestProfileError:
 
     def test_lower_bound_via_profile(self):
         # |v(t)| >= 0.5 |P| |G(t)| once the error term has vanished
-        g = gaussian_datum(1)
         t = 1e3
-        def mult(tt, r):
-            kv = kernel_eval(P, tt, r)
-            return kv.k0 + kv.k1
-        nv = hs_norm(P, mult, g, 0.0, t)
-        delta = RadialDatum(
-            lambda r: np.full_like(np.asarray(r, float), (2 * math.pi) ** -0.5),
-            1.0)
-        ng = hs_norm(P, lambda tt, r: profile_hat(P, tt, r), delta, 0.0, t)
+        nv = hs_norm(P, solution(P, t, gaussian_datum(1)), 0.0, t)
+        ng = hs_norm(P, lambda r: (2 * math.pi) ** -0.5 * profile_hat(P, t, r), 0.0, t)
         assert nv >= 0.5 * 2.0 * ng
 
 
@@ -149,25 +148,22 @@ def test_upper_bound_without_l1_control():
     # data with a near-singular transform (no useful L1 mass): the norm still
     # decays no slower than (1+t)^(-s/(2 sigma_min)); checked as a bounded ratio
     peak = 1e3
-    datum = RadialDatum(
-        lambda r: np.minimum(np.asarray(r, float) ** -0.3, peak) * np.exp(-np.asarray(r, float) ** 2),
-        float("nan"))
+    def datum(r):
+        r = np.asarray(r, float)
+        return np.minimum(r ** -0.3, peak) * np.exp(-r ** 2)
     s = 0.5
-    def mult(t, r):
-        return kernel_eval(P, t, r).k0
     ratios = []
     for t in np.geomspace(10.0, 1000.0, 7):
-        ratios.append(hs_norm(P, mult, datum, s, t) * (1 + t) ** (s / (2 * P.sigma_min)))
+        field = lambda r: kernel_eval(P, t, r).k0 * datum(r)
+        ratios.append(hs_norm(P, field, s, t) * (1 + t) ** (s / (2 * P.sigma_min)))
     assert max(ratios) <= 2.0 * ratios[0]
 
 
 def test_unresolved_integrand_reports_error_estimate():
-    from mixwave.radial import QuadratureError
     g = gaussian_datum(1)
     wild = lambda r: np.cos(4e4 * r) * g.profile(r)
     with pytest.raises(QuadratureError) as err:
-        radial_integral(lambda r: wild(r) ** 2, QuadratureSpec(panel_order=8),
-                        amplitude=wild, phase=None)
+        radial_integral(lambda r: wild(r) ** 2, amplitude=wild, phase=None, panel_order=8)
     found = re.search(r"achieved error estimate (\S+)\)$", str(err.value))
     assert found and float(found.group(1)) > 0
 

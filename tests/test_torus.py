@@ -144,6 +144,10 @@ class TestNonlinearity:
         fhat, linf, nm = nonlinearity(grid, to_spectral(grid, np.zeros(grid.N)), 1.5)
         assert np.all(fhat == 0) and linf == 0.0 and nm == 0.0
 
+    def test_power_below_one_rejected(self, grid):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            nonlinearity(grid, to_spectral(grid, np.zeros(grid.N)), 0.5)
+
     def test_constant_field(self, grid):
         c = to_spectral(grid, np.full(grid.N, -2.0))
         fhat, linf, nm = nonlinearity(grid, c, 1.5)
@@ -250,6 +254,11 @@ class TestNormsAndMass:
                                     np.zeros(grid.N))
         ns = norms(st, 0.0)
         assert ns.hs == pytest.approx(ns.l2, rel=1e-14)
+
+    def test_negative_s_rejected(self, grid):
+        st = FieldState.from_fields(grid, np.zeros(grid.N), np.zeros(grid.N))
+        with pytest.raises(ValueError, match="s must be nonnegative"):
+            norms(st, -0.1)
 
     def test_single_mode_hs_cross_checked_by_quadrature(self, grid):
         k = 13
