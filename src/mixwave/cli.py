@@ -36,7 +36,7 @@ from .experiments import (
 from .kernels import kernel_eval
 from .params import OperatorParams, exponents, symbol, theorem_hypotheses
 from .radial import QuadratureError
-from .torus import Grid, read_snapshot, write_slice_csv, write_snapshot
+from .torus import Grid, read_snapshot, write_snapshot
 
 # key: (type, default, help); the keys without a default are required
 CONFIG_KEYS = {
@@ -66,6 +66,8 @@ CONFIG_KEYS = {
     "out": (str, "out", "output directory"),
 }
 COMMON_KEYS = ("command", "a", "b", "sigma", "n", "out")
+# the largest step of the run that blowup-functional stores, whatever dt_max is
+_STORED_RUN_DT_MAX = 0.02
 
 
 class ConfigError(ValueError):
@@ -173,6 +175,20 @@ def validate_ranges(cfg: dict) -> None:
                           f"got {cfg['t_end']}")
     if cfg["dt_max"] <= 0:
         raise ConfigError(f"out-of-range key 'dt_max': must be positive, got {cfg['dt_max']}")
+    # the largest step these runs take must advance the clock at t_end;
+    # lifespan-sweep stops short of t_end, at its resolution horizon
+    step = cfg["dt_max"]
+    if cfg["command"] == "blowup-functional":
+        step = min(step, _STORED_RUN_DT_MAX)
+    if (cfg["command"] in ("solve", "profile", "blowup-functional")
+            and cfg["t_end"] + step == cfg["t_end"]):
+        raise ConfigError(f"out-of-range key 'dt_max': a step of {step} does not advance "
+                          f"the clock at t_end = {cfg['t_end']}")
+    if cfg["grid_n"] < 64 or cfg["grid_n"] & (cfg["grid_n"] - 1):
+        raise ConfigError(f"out-of-range key 'grid_n': must be a power of two >= 64, "
+                          f"got {cfg['grid_n']}")
+    if cfg["box_l"] <= 0:
+        raise ConfigError(f"out-of-range key 'box_l': must be positive, got {cfg['box_l']}")
     if not 0 < cfg["safety"] <= 1:
         raise ConfigError(f"out-of-range key 'safety': must be in (0, 1], got {cfg['safety']}")
     if cfg["seed"] < 0:
@@ -187,6 +203,9 @@ def validate_ranges(cfg: dict) -> None:
         if not all(math.isfinite(v) and (v > 0 or not positive) for v in entries):
             rule = "finite and positive" if positive else "finite"
             raise ConfigError(f"out-of-range key '{key}': entries must be {rule}, "
+                              f"got {cfg[key]!r}")
+        if positive and len(set(entries)) < len(entries):
+            raise ConfigError(f"out-of-range key '{key}': entries must be distinct, "
                               f"got {cfg[key]!r}")
 
 
@@ -204,7 +223,7 @@ def _grid(cfg) -> Grid:
 
 
 # --- command implementations -------------------------------------------------
-# Each takes (cfg, params, out), writes its CSV and plot files into out, prints
+# Each takes (cfg, params, out), writes its CSV tables into out, prints
 # its line and returns (summary payload, passed); main writes the summary.
 
 def cmd_exponents(cfg, params, out) -> tuple[dict, bool]:
@@ -256,10 +275,6 @@ def cmd_linear_decay(cfg, params, out) -> tuple[dict, bool]:
                 for t, v in rep.series[f.s]]
         io.write_csv(os.path.join(out, f"decay_s{f.s:g}.csv"),
                      ["t", "norm", "scaled_norm", "s", "sigma", "n"], rows)
-        io.write_plot_data(os.path.join(out, f"decay_s{f.s:g}.dat"),
-                           [t for t, _ in rep.series[f.s]],
-                           [v for _, v in rep.series[f.s]],
-                           comment=f"slope {f.slope!r} target {f.target!r}")
         name = "decay_slope_l2" if f.s == 0 else "decay_slope_hs"
         passed, margin = gate(name, f.slope, f.target)
         ok = ok and passed
@@ -279,8 +294,6 @@ def cmd_profile(cfg, params, out) -> tuple[dict, bool]:
                              linear_only=cfg["linear"])
     io.write_csv(os.path.join(out, "profile_error.csv"), ["t", "scaled_error"],
                  zip(rep.times, rep.scaled_error))
-    io.write_plot_data(os.path.join(out, "profile_error.dat"), rep.times,
-                       rep.scaled_error, comment="t vs scaled profile error")
     ratio_ok, margin = gate("profile_ratio", rep.ratio, 1.0)
     tol = GATES["profile_ratio"][1]
     payload = {
@@ -322,8 +335,8 @@ def cmd_solve(cfg, params, out) -> tuple[dict, bool]:
         write_snapshot(os.path.join(out, "data_u1.bin"), grid, 0.0, arc.u1)
         for i, (t, u) in enumerate(zip(arc.times, arc.fields)):
             write_snapshot(os.path.join(out, f"snap_{i:05d}.bin"), grid, t, u)
-        write_slice_csv(os.path.join(out, "final_slice.csv"), grid,
-                        arc.times[-1], arc.fields[-1])
+        io.write_slice_csv(os.path.join(out, "final_slice.csv"), grid,
+                           arc.times[-1], arc.fields[-1])
     print(f"status={outcome.status.value} t_final={outcome.t_final!r}")
     return payload, True
 
@@ -333,17 +346,9 @@ def cmd_lifespan(cfg, params, out) -> tuple[dict, bool]:
     eps_list = _floats(cfg["eps_list"])
     rep = lifespan_sweep(params, cfg["p"], eps_list, _grid(cfg), dt_max=cfg["dt_max"],
                          t_cap=cfg["t_end"], threshold=cfg["threshold"])
-    rows = [(r.epsilon,
-             r.t_blowup if r.t_blowup is not None else "nan",
-             r.threshold_band[0] if r.threshold_band[0] is not None else "nan",
-             r.threshold_band[1] if r.threshold_band[1] is not None else "nan",
-             r.flagged) for r in rep.records]
+    rows = [(r.epsilon, r.t_blowup, *r.threshold_band, r.flagged) for r in rep.records]
     io.write_csv(os.path.join(out, "lifespan.csv"),
                  ["eps", "t_blowup", "band_low", "band_high", "flag"], rows)
-    usable = [(r.epsilon, r.t_blowup) for r in rep.records if r.t_blowup is not None]
-    io.write_plot_data(os.path.join(out, "lifespan.dat"),
-                       [e for e, _ in usable], [t for _, t in usable],
-                       comment="eps vs blow-up time")
     if rep.slope is None:
         print(f"critical-case linear fit residual {rep.linear_residual!r} (exploratory)")
         return {"critical_fit_slope": rep.critical_fit.slope if rep.critical_fit else None,
@@ -383,7 +388,7 @@ def _load_archive(cfg, params) -> SolutionArchive:
 
 def _archived_run(cfg, params) -> SolutionArchive:
     state, u0, u1 = initial_state(_grid(cfg), eps=cfg["eps"], width=cfg["width"])
-    ctrl = StepControl(t_end=cfg["t_end"], dt_max=min(cfg["dt_max"], 0.02),
+    ctrl = StepControl(t_end=cfg["t_end"], dt_max=min(cfg["dt_max"], _STORED_RUN_DT_MAX),
                        blowup_threshold=cfg["threshold"],
                        record_t0=0.02, record_ratio=1.04, snapshots=True)
     outcome = run(params, state, ctrl, p=cfg["p"], eps=cfg["eps"], u0=u0, u1=u1)

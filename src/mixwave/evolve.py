@@ -218,7 +218,7 @@ def resolution_horizon(params: OperatorParams, L: float) -> float:
 
 def initial_state(grid: Grid, eps: float, width: float = 1.0):
     """Default data: u0 = u1 = eps * unit-mass Gaussian bump (positive)."""
-    bump = gaussian_field(grid, width=width, total_mass=1.0)
+    bump = gaussian_field(grid, width=width)
     u0 = eps * bump
     u1 = eps * bump
     return FieldState.from_fields(grid, u0, u1), u0, u1

@@ -95,7 +95,7 @@ def decay_experiment(params: OperatorParams, s_list=(0.0, None), mode: str = "ra
     def norm(s, t):
         def field(r):        # transform of the linear solution at time t
             kv = kernel_eval(params, t, r)
-            return (kv.k0 + kv.k1) * datum.profile(r)
+            return (kv.k0 + kv.k1) * datum(r)
         return hs_norm(params, field, s, t)
 
     ts = np.geomspace(t_window[0], t_window[1], n_samples)

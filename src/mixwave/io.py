@@ -1,4 +1,4 @@
-"""Deterministic artifact writers: CSV, JSON summaries and plot data.
+"""Deterministic artifact writers: CSV tables and JSON summaries.
 
 Identical inputs must produce byte-identical files, so floats are emitted
 with repr (shortest round-trip form) and JSON keys are sorted; no clocks,
@@ -15,6 +15,8 @@ import numpy as np
 
 
 def _fmt(x) -> str:
+    if x is None:               # a missing value, such as a run that never blew up
+        return "nan"
     if isinstance(x, (np.floating, np.integer)):
         x = x.item()
     if isinstance(x, float):
@@ -22,8 +24,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence],
+              comment: str | None = None) -> None:
+    """A header line, then one line per row; a '# comment' line first if given."""
     with open(path, "w") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -35,13 +41,10 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def write_plot_data(path, xs: Sequence[float], ys: Sequence[float],
-                    comment: str) -> None:
-    """Two-column whitespace-separated data under a '# comment' line."""
-    with open(path, "w") as fh:
-        fh.write(f"# {comment}\n")
-        for x, y in zip(xs, ys):
-            fh.write(f"{_fmt(x)} {_fmt(y)}\n")
+def write_slice_csv(path, grid, t: float, u: np.ndarray) -> None:
+    """Physical-space slice of u on grid (full line in 1D, y=0 row in 2D)."""
+    line = u[(slice(None),) + (grid.N // 2,) * (grid.n - 1)]
+    write_csv(path, ["x", "u"], zip(grid.x.tolist(), line.tolist()), comment=f"t = {t!r}")
 
 
 @contextmanager

@@ -24,28 +24,19 @@ def surface_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-@dataclass(frozen=True)
-class RadialDatum:
-    """Radial Fourier transform of an initial datum.
+def gaussian_datum(n: int, width: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
+    """Radial Fourier transform of the Gaussian bump of unit spatial integral.
 
-    profile maps an array of radii to transform values; l1_mass is the
-    spatial integral of the datum.  Under the unitary transform convention
-    profile(0) == (2 pi)^(-n/2) * l1_mass.
+    Under the unitary convention a datum's transform at r = 0 is
+    (2 pi)^(-n/2) times its spatial integral.
     """
-
-    profile: Callable[[np.ndarray], np.ndarray]
-    l1_mass: float
-
-
-def gaussian_datum(n: int, width: float = 1.0) -> RadialDatum:
-    """Gaussian bump of unit spatial integral; closed-form transform."""
     w2 = width * width
 
     def profile(r):
         r = np.asarray(r, float)
         return (2.0 * math.pi) ** (-n / 2.0) * np.exp(-0.5 * w2 * r**2)
 
-    return RadialDatum(profile, 1.0)
+    return profile
 
 
 class QuadratureError(RuntimeError):
@@ -178,27 +169,29 @@ def hs_norm(params: OperatorParams, field: Callable[[np.ndarray], np.ndarray],
     return math.sqrt(surface_area(n) * max(val, 0.0))
 
 
-def profile_error(params: OperatorParams, datum0: RadialDatum, datum1: RadialDatum,
-                  s: float, t: float) -> float:
+def profile_error(params: OperatorParams, datum0: Callable[[np.ndarray], np.ndarray],
+                  datum1: Callable[[np.ndarray], np.ndarray], s: float, t: float) -> float:
     """Hs distance between the linear solution and the mass-scaled profile.
 
-    The field is the single multiplier K0*f0 + K1*f1 - (2pi)^(-n/2) * P * ghat,
-    so the leading parts cancel inside one quadrature instead of between two.
+    datum0 and datum1 are the radial transforms f0, f1 of u0, u1.  The field
+    is the single multiplier K0*f0 + K1*f1 - (2pi)^(-n/2) * P * ghat, so the
+    leading parts cancel inside one quadrature instead of between two.
     """
-    mass = datum0.l1_mass + datum1.l1_mass
-    const = (2.0 * math.pi) ** (-params.n / 2.0) * mass
+    unit = (2.0 * math.pi) ** (-params.n / 2.0)
+    mass = datum0(0.0) / unit + datum1(0.0) / unit     # P = integral of u0 + u1
+    const = unit * mass
 
     def diff(r):
         kv = kernel_eval(params, t, r)
         g = profile_hat(params, t, r)
-        return kv.k0 * datum0.profile(r) + kv.k1 * datum1.profile(r) - const * g
+        return kv.k0 * datum0(r) + kv.k1 * datum1(r) - const * g
 
     def amp(r):
         # envelope for cutoff selection: individual pieces, not the difference,
         # so cancellation cannot hide the support
         kv = kernel_eval(params, t, r)
         g = profile_hat(params, t, r)
-        return (np.abs(kv.k0 * datum0.profile(r)) + np.abs(kv.k1 * datum1.profile(r))
+        return (np.abs(kv.k0 * datum0(r)) + np.abs(kv.k1 * datum1(r))
                 + abs(const) * g)
 
     return hs_norm(params, diff, s, t, envelope=amp)

@@ -245,9 +245,9 @@ def mass(state: FieldState) -> float:
     return state.grid.volume * float(np.real(state.uhat.flat[0]))
 
 
-def gaussian_field(grid: Grid, width: float = 1.0, total_mass: float = 1.0) -> np.ndarray:
-    """Normalized Gaussian bump centered at the origin (analytic L1 mass)."""
-    return total_mass * (2.0 * math.pi * width**2) ** (-grid.n / 2.0) * np.exp(
+def gaussian_field(grid: Grid, width: float = 1.0) -> np.ndarray:
+    """Gaussian bump of unit L1 mass (analytically) centered at the origin."""
+    return (2.0 * math.pi * width**2) ** (-grid.n / 2.0) * np.exp(
         -grid.radius_sq() / (2.0 * width**2))
 
 
@@ -282,13 +282,3 @@ def read_snapshot(path):
         if data.size != expected:
             raise ValueError(f"snapshot payload has {data.size} values, expected {expected}")
         return grid, t, data.reshape((N,) * n)
-
-
-def write_slice_csv(path, grid: Grid, t: float, u: np.ndarray) -> None:
-    """Physical-space slice (full line in 1D, y=0 row in 2D) for plotting."""
-    line = u[(slice(None),) + (grid.N // 2,) * (grid.n - 1)]
-    with open(path, "w") as fh:
-        fh.write(f"# t = {t!r}\n")
-        fh.write("x,u\n")
-        for xv, uv in zip(grid.x.tolist(), line.tolist()):
-            fh.write(f"{xv!r},{uv!r}\n")

@@ -155,6 +155,20 @@ class TestConfigResolution:
         ("solve", "--sigma", "-0.5", "out-of-range key 'sigma': must be positive"),
         ("solve", "--n", "0", "out-of-range key 'n': must be a positive integer"),
         ("solve", "--p", "1", "out-of-range key 'p': must exceed 1"),
+        ("lifespan-sweep", "--eps-list", "1,1,2,4,8,10",
+         "out-of-range key 'eps_list': entries must be distinct"),
+        ("blowup-functional", "--r-list", "2,2,3,4,6.5",
+         "out-of-range key 'r_list': entries must be distinct"),
+        ("solve", "--grid-n", "100", "out-of-range key 'grid_n': must be a power of two >= 64"),
+        ("solve", "--grid-n", "32", "out-of-range key 'grid_n'"),
+        ("profile", "--box-l", "-1", "out-of-range key 'box_l': must be positive"),
+        ("solve", "--box-l", "0", "out-of-range key 'box_l'"),
+        ("solve", "--dt-max", "1e-300", "out-of-range key 'dt_max': a step of 1e-300"),
+        ("profile", "--dt-max", "1e-300", "out-of-range key 'dt_max'"),
+        ("blowup-functional", "--dt-max", "1e-300", "out-of-range key 'dt_max'"),
+        ("solve", "--t-end", "1e17", "out-of-range key 'dt_max': a step of 0.05 does not "
+                                    "advance the clock at t_end = 1e+17"),
+        ("blowup-functional", "--t-end", "3e14", "out-of-range key 'dt_max': a step of 0.02"),
     ])
     def test_list_and_width_ranges_exit_2(self, tmp_path, capsys, command, flag, raw,
                                           message):
@@ -421,8 +435,11 @@ class TestCommands:
                         "--n", "1", "--p", "1.5", "--eps-list", "0.5,0.25,0.125",
                         "--out", str(out)])
         assert code == 0
-        rows = (out / "lifespan.dat").read_text().splitlines()[1:]
-        assert rows == ["0.5 0.0", "0.25 3.5"]
+        rows = (out / "lifespan.csv").read_text().splitlines()
+        assert rows == ["eps,t_blowup,band_low,band_high,flag",
+                        "0.5,0.0,0.0,0.0,", "0.25,3.5,3.0,3.5,",
+                        "0.125,nan,nan,nan,no blow-up"]
+        assert not list(out.glob("*.dat"))
 
     def test_lifespan_critical_case_is_exploratory(self, tmp_path, capsys):
         # p = p_crit = 2: no slope gate, and two records are too few for the
@@ -494,7 +511,7 @@ class TestCommands:
         assert {"slope", "target", "deviation", "tolerance", "pass"} <= set(fit)
         assert fit["tolerance"] == GATES["decay_slope_l2"][1]
         assert set(fit["margins"]) == {"decay_slope_l2"}
-        assert (out / "decay_s0.dat").exists()
+        assert not list(out.glob("*.dat"))
 
     def test_profile_linear_smoke(self, tmp_path):
         out = tmp_path / "p"
@@ -507,7 +524,7 @@ class TestCommands:
         assert payload["theta"] == pytest.approx(0.2, abs=1e-9)
         assert gate("profile_ratio", payload["terminal_ratio"], 1.0)[0]
         assert (out / "profile_error.csv").exists()
-        assert (out / "profile_error.dat").exists()
+        assert not list(out.glob("*.dat"))
 
     def test_fraclap_check_smoke(self, tmp_path):
         out = tmp_path / "f"

@@ -10,7 +10,6 @@ from mixwave.params import OperatorParams
 from mixwave.radial import (
     _PHASE_PER_PANEL,
     QuadratureError,
-    RadialDatum,
     fit_power_law,
     _panel_splits,
     gaussian_datum,
@@ -29,7 +28,7 @@ def solution(params, t, datum):
     """Transform of the linear solution at time t from u0 = u1 = datum."""
     def field(r):
         kv = kernel_eval(params, t, r)
-        return (kv.k0 + kv.k1) * datum.profile(r)
+        return (kv.k0 + kv.k1) * datum(r)
     return field
 
 
@@ -45,14 +44,13 @@ def test_gaussian_datum_mass_convention():
     # unit spatial integral: profile(0) == (2 pi)^(-n/2)
     for n in (1, 2):
         g = gaussian_datum(n, width=1.3)
-        assert g.l1_mass == 1.0
-        assert g.profile(np.array([0.0]))[0] == pytest.approx((2 * math.pi) ** (-n / 2))
+        assert g(np.array([0.0]))[0] == pytest.approx((2 * math.pi) ** (-n / 2))
 
 
 def test_plancherel_identity():
     # the t = 0 field is the datum: the norm equals its physical-space L2 norm
     g = gaussian_datum(1, width=1.0)
-    got = hs_norm(P, g.profile, s=0.0, t=0.0)
+    got = hs_norm(P, g, s=0.0, t=0.0)
     exact = (2 * math.pi) ** (-0.5) * math.pi**0.25
     assert got == pytest.approx(exact, rel=1e-12)
 
@@ -60,7 +58,7 @@ def test_plancherel_identity():
 @pytest.mark.parametrize("s,t", [(-0.1, 1.0), (0.0, -1.0)])
 def test_hs_norm_rejects_negative_s_or_t(s, t):
     with pytest.raises(ValueError, match="nonnegative"):
-        hs_norm(P, gaussian_datum(1).profile, s, t)
+        hs_norm(P, gaussian_datum(1), s, t)
 
 
 def closed_form_truncated(n, s, theta, c, t, eps0):
@@ -82,7 +80,7 @@ def test_velocity_kernel_norm_decay_ratio():
     # 100x in time shrinks the norm ~10x for the half-power rate
     g = gaussian_datum(1)
     def velocity(t):
-        return lambda r: kernel_eval(P, t, r).k1 * g.profile(r)
+        return lambda r: kernel_eval(P, t, r).k1 * g(r)
     n1 = hs_norm(P, velocity(1e2), 0.0, 1e2)
     n2 = hs_norm(P, velocity(1e4), 0.0, 1e4)
     assert n2 / n1 == pytest.approx(0.1, rel=0.05)
@@ -100,9 +98,9 @@ def test_panel_order_doubling_invariance():
 
 def test_tail_contribution_negligible():
     g = gaussian_datum(1)
-    a = hs_norm(P, g.profile, 0.0, 0.0)
+    a = hs_norm(P, g, 0.0, 0.0)
     # profile ~ 1e-18 of peak at the fixed cutoff
-    b = math.sqrt(surface_area(1) * radial_integral(lambda r: g.profile(r) ** 2, r_max=9.1))
+    b = math.sqrt(surface_area(1) * radial_integral(lambda r: g(r) ** 2, r_max=9.1))
     assert abs(a - b) <= 1e-14 * a
 
 
@@ -110,14 +108,14 @@ def test_linearity_in_datum_scale():
     lam, t = 3.7, 5.0
     g = gaussian_datum(1)
     def field(r):
-        return kernel_eval(P, t, r).k0 * g.profile(r)
+        return kernel_eval(P, t, r).k0 * g(r)
     assert hs_norm(P, lambda r: lam * field(r), 0.3, t) == pytest.approx(
         lam * hs_norm(P, field, 0.3, t), rel=1e-12)
 
 
 class TestProfileError:
     def test_zero_data(self):
-        z = RadialDatum(lambda r: np.zeros_like(np.asarray(r, float)), 0.0)
+        z = lambda r: np.zeros_like(np.asarray(r, float))
         assert profile_error(P, z, z, 0.0, 10.0) == 0.0
 
     def test_scaled_error_decreasing(self):
@@ -161,7 +159,7 @@ def test_upper_bound_without_l1_control():
 
 def test_unresolved_integrand_reports_error_estimate():
     g = gaussian_datum(1)
-    wild = lambda r: np.cos(4e4 * r) * g.profile(r)
+    wild = lambda r: np.cos(4e4 * r) * g(r)
     with pytest.raises(QuadratureError) as err:
         radial_integral(lambda r: wild(r) ** 2, amplitude=wild, phase=None, panel_order=8)
     found = re.search(r"achieved error estimate (\S+)\)$", str(err.value))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
+from mixwave.io import write_slice_csv
 from mixwave.params import OperatorParams, symbol
 from mixwave.torus import (
     SNAPSHOT_MAGIC,
@@ -21,7 +22,6 @@ from mixwave.torus import (
     spectral_norm,
     to_physical,
     to_spectral,
-    write_slice_csv,
     write_snapshot,
 )
 
@@ -133,7 +133,7 @@ class TestMultipliers:
         assert np.max(np.abs(lu - exact)) < 1e-10
 
     def test_operator_image_has_zero_mass(self, grid):
-        u = gaussian_field(grid, 1.0, 2.0)
+        u = 2.0 * gaussian_field(grid, 1.0)
         chat = to_spectral(grid, u) * symbol(P, grid.radii)
         st = FieldState(chat, 0 * chat, 0.0, grid)
         assert mass(st) == 0.0
@@ -244,7 +244,7 @@ class TestNonlinearity:
 
 class TestNormsAndMass:
     def test_gaussian_unit_mass(self, grid):
-        st = FieldState.from_fields(grid, gaussian_field(grid, 1.0, 1.0),
+        st = FieldState.from_fields(grid, gaussian_field(grid, 1.0),
                                     np.zeros(grid.N))
         assert mass(st) == pytest.approx(1.0, abs=1e-10)
 
@@ -285,7 +285,7 @@ class TestNormsAndMass:
 
 class TestSnapshots:
     def test_roundtrip(self, grid, tmp_path):
-        u = gaussian_field(grid, 1.0, 1.0)
+        u = gaussian_field(grid, 1.0)
         path = tmp_path / "snap.bin"
         write_snapshot(path, grid, 4.5, u)
         g2, t2, u2 = read_snapshot(path)
@@ -300,7 +300,7 @@ class TestSnapshots:
 
     def test_truncated_payload_rejected(self, grid, tmp_path):
         path = tmp_path / "snap.bin"
-        write_snapshot(path, grid, 1.0, gaussian_field(grid, 1.0, 1.0))
+        write_snapshot(path, grid, 1.0, gaussian_field(grid, 1.0))
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError, match="payload"):
@@ -308,7 +308,7 @@ class TestSnapshots:
 
     def test_truncated_header_rejected(self, grid, tmp_path):
         path = tmp_path / "snap.bin"
-        write_snapshot(path, grid, 1.0, gaussian_field(grid, 1.0, 1.0))
+        write_snapshot(path, grid, 1.0, gaussian_field(grid, 1.0))
         data = path.read_bytes()
         # cuts inside version/n/N, inside L and inside t
         for cut in (6, 4 + 12, 4 + 12 + 8 + 3):
@@ -362,7 +362,7 @@ class TestSnapshots:
 
     def test_slice_csv(self, grid, tmp_path):
         path = tmp_path / "slice.csv"
-        u = gaussian_field(grid, 1.0, 1.0)
+        u = gaussian_field(grid, 1.0)
         write_slice_csv(path, grid, 2.0, u)
         lines = path.read_text().splitlines()
         assert lines[1] == "x,u"
@@ -445,5 +445,5 @@ class TestGeometryMatchesPerDimensionFormulas:
     def test_gaussian_field(self, n):
         g = Grid(n, 64, 10.0)
         q = self._radius_sq_oracle(g, 1.0)
-        want = 0.5 * (2.0 * math.pi * 1.3**2) ** (-n / 2.0) * np.exp(-q / (2.0 * 1.3**2))
-        _same_bits(gaussian_field(g, 1.3, 0.5), want)
+        want = (2.0 * math.pi * 1.3**2) ** (-n / 2.0) * np.exp(-q / (2.0 * 1.3**2))
+        _same_bits(gaussian_field(g, 1.3), want)
