@@ -38,32 +38,42 @@ from .params import OperatorParams, exponents, symbol, theorem_hypotheses
 from .radial import QuadratureError
 from .torus import Grid, read_snapshot, write_snapshot
 
-# key: (type, default, help); the keys without a default are required
+# a range rule: a test and the words that finish "must ..."
+_POSITIVE = (lambda v: v > 0, "be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "be nonnegative")
+
+# key: (type, default, range rule, help); the keys without a default are
+# required.  Every float must be finite.  A list key holds comma-separated
+# floats, kept as text: its rule holds for each entry, and the entries must be
+# finite and distinct.
 CONFIG_KEYS = {
-    "command": (str, None, "the command to run"),
-    "a": (float, None, "local diffusivity (> 0)"),
-    "b": (float, None, "nonlocal diffusivity (> 0)"),
-    "sigma": (float, None, "fractional order, positive, != 1"),
-    "n": (int, None, "spatial dimension (1 or 2 for grids)"),
-    "p": (float, 3.0, "nonlinearity power"),
-    "eps": (float, 0.01, "data amplitude"),
-    "eps_list": (str, "", "comma-separated amplitudes for sweeps"),
-    "s_list": (str, "0", "comma-separated Sobolev orders"),
-    "grid_n": (int, 1024, "grid points per dimension (power of two)"),
-    "box_l": (float, 100.0, "box half-length"),
-    "t_end": (float, 100.0, "time horizon"),
-    "dt_max": (float, 0.05, "largest time step"),
-    "safety": (float, 0.1, "adaptive step safety factor"),
-    "threshold": (float, 1e6, "blow-up detection level"),
-    "width": (float, 1.0, "Gaussian datum width"),
-    "linear": (bool, False, "disable the nonlinearity"),
-    "snapshots": (bool, False, "write snapshot dumps (solve)"),
-    "snapshots_dir": (str, "", "read stored snapshots (blowup-functional)"),
-    "r_list": (str, "", "comma-separated radii for the functional sweep"),
-    "k_scale": (float, 1.0, "spatial stretch K of the weight"),
-    "l_eval": (float, 1280.0, "evaluation window for fraclap-check"),
-    "seed": (int, 0, "seed of the random samples (kernels)"),
-    "out": (str, "out", "output directory"),
+    "command": (str, None, None, "the command to run"),
+    "a": (float, None, _POSITIVE, "local diffusivity"),
+    "b": (float, None, _POSITIVE, "nonlocal diffusivity"),
+    "sigma": (float, None, _POSITIVE, "fractional order, != 1"),
+    "n": (int, None, (lambda v: v >= 1, "be a positive integer"),
+          "spatial dimension (1 or 2 for grids)"),
+    "p": (float, 3.0, (lambda v: v > 1, "exceed 1"), "nonlinearity power"),
+    "eps": (float, 0.01, None, "data amplitude"),
+    "eps_list": (list, "", _POSITIVE, "comma-separated amplitudes for sweeps"),
+    "s_list": (list, "0", _NONNEGATIVE, "comma-separated Sobolev orders"),
+    "grid_n": (int, 1024, (lambda v: v >= 64 and not v & (v - 1), "be a power of two >= 64"),
+               "grid points per dimension"),
+    "box_l": (float, 100.0, _POSITIVE, "box half-length"),
+    "t_end": (float, 100.0, _POSITIVE, "time horizon"),
+    "dt_max": (float, 0.05, _POSITIVE, "largest time step"),
+    "safety": (float, 0.1, (lambda v: 0 < v <= 1, "be in (0, 1]"),
+               "adaptive step safety factor"),
+    "threshold": (float, 1e6, (lambda v: v >= 1e3, "be >= 1e3"), "blow-up detection level"),
+    "width": (float, 1.0, _POSITIVE, "Gaussian datum width"),
+    "linear": (bool, False, None, "disable the nonlinearity"),
+    "snapshots": (bool, False, None, "write snapshot dumps (solve)"),
+    "snapshots_dir": (str, "", None, "read stored snapshots (blowup-functional)"),
+    "r_list": (list, "", _POSITIVE, "comma-separated radii for the functional sweep"),
+    "k_scale": (float, 1.0, _POSITIVE, "spatial stretch K of the weight"),
+    "l_eval": (float, 1280.0, _POSITIVE, "evaluation window for fraclap-check"),
+    "seed": (int, 0, _NONNEGATIVE, "seed of the random samples (kernels)"),
+    "out": (str, "out", None, "output directory"),
 }
 COMMON_KEYS = ("command", "a", "b", "sigma", "n", "out")
 # the largest step of the run that blowup-functional stores, whatever dt_max is
@@ -74,21 +84,30 @@ class ConfigError(ValueError):
     pass
 
 
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
 def _parse_value(key: str, raw: str):
-    typ = CONFIG_KEYS[key][0]
+    """The value of `key` read from the text `raw`, checked against its row."""
+    typ, _, rule, _ = CONFIG_KEYS[key]
     try:
         if typ is bool:
-            lo = raw.strip().lower()
-            if lo in ("1", "true", "yes", "on"):
-                return True
-            if lo in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        value = typ(raw)
-    except ValueError as exc:
-        raise ConfigError(f"invalid value for key '{key}': {raw!r}") from exc
-    if typ is float and not math.isfinite(value):
-        raise ConfigError(f"out-of-range key '{key}': must be finite, got {raw!r}")
+            return _BOOLS[raw.strip().lower()]
+        value = raw if typ is list else typ(raw)
+        entries = _floats(raw) if typ is list else [value]
+    except (KeyError, ValueError):
+        raise ConfigError(f"invalid value for key '{key}': {raw!r}") from None
+    checks = [(math.isfinite, "be finite")] if typ in (float, list) else []
+    if rule:
+        checks.append(rule)
+    each = "entries " if typ is list else ""
+    for test, words in checks:
+        for v in entries:
+            if not test(v):
+                raise ConfigError(f"out-of-range key '{key}': {each}must {words}, got {v}")
+    if len(set(entries)) < len(entries):
+        raise ConfigError(f"out-of-range key '{key}': entries must be distinct, got {raw!r}")
     return value
 
 
@@ -111,7 +130,10 @@ def read_config_file(path: str) -> dict:
         key = key.replace("-", "_")
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-        values[key] = _parse_value(key, raw)
+        try:
+            values[key] = _parse_value(key, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -122,9 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "local-nonlocal damped wave equation")
     ap.add_argument("command", nargs="?", choices=COMMANDS)
     ap.add_argument("--config", help="key = value config file")
-    for key, (typ, default, help_text) in CONFIG_KEYS.items():
+    for key, (typ, _, rule, help_text) in CONFIG_KEYS.items():
         if key == "command":
             continue
+        if rule:
+            help_text += f"; {'distinct entries ' if typ is list else ''}must {rule[1]}"
         flag = "--" + key.replace("_", "-")
         if typ is bool:
             ap.add_argument(flag, action="store_true", default=None, help=help_text)
@@ -140,8 +164,8 @@ def resolve_config(argv) -> dict:
         raw = getattr(ns, key)
         if raw is not None:
             given[key] = raw if isinstance(raw, bool) else _parse_value(key, raw)
-    values = {k: v for k, (_, v, _) in CONFIG_KEYS.items() if v is not None} | given
-    for key, (_, default, _) in CONFIG_KEYS.items():
+    values = {k: v for k, (_, v, _, _) in CONFIG_KEYS.items() if v is not None} | given
+    for key, (_, default, _, _) in CONFIG_KEYS.items():
         if default is None and key not in values:
             raise ConfigError(f"missing required key '{key}'")
     command = values["command"]
@@ -158,23 +182,10 @@ def resolve_config(argv) -> dict:
 
 
 def validate_ranges(cfg: dict) -> None:
+    """The range rules that no single row of CONFIG_KEYS can state."""
     if cfg["sigma"] == 1:
         raise ConfigError("sigma excluded: the fractional order 1 is outside the "
                           "operator family; choose sigma in (0,1) or (1,inf)")
-    if cfg["sigma"] <= 0:
-        raise ConfigError(f"out-of-range key 'sigma': must be positive, got {cfg['sigma']}")
-    for key in ("a", "b", "width", "k_scale", "l_eval"):
-        if cfg[key] <= 0:
-            raise ConfigError(f"out-of-range key '{key}': must be positive, got {cfg[key]}")
-    if cfg["n"] < 1:
-        raise ConfigError(f"out-of-range key 'n': must be a positive integer, got {cfg['n']}")
-    if cfg["p"] <= 1:
-        raise ConfigError(f"out-of-range key 'p': must exceed 1, got {cfg['p']}")
-    if not (cfg["t_end"] > 0 and math.isfinite(cfg["t_end"])):
-        raise ConfigError(f"out-of-range key 't_end': must be positive and finite, "
-                          f"got {cfg['t_end']}")
-    if cfg["dt_max"] <= 0:
-        raise ConfigError(f"out-of-range key 'dt_max': must be positive, got {cfg['dt_max']}")
     # the largest step these runs take must advance the clock at t_end;
     # lifespan-sweep stops short of t_end, at its resolution horizon
     step = cfg["dt_max"]
@@ -184,29 +195,6 @@ def validate_ranges(cfg: dict) -> None:
             and cfg["t_end"] + step == cfg["t_end"]):
         raise ConfigError(f"out-of-range key 'dt_max': a step of {step} does not advance "
                           f"the clock at t_end = {cfg['t_end']}")
-    if cfg["grid_n"] < 64 or cfg["grid_n"] & (cfg["grid_n"] - 1):
-        raise ConfigError(f"out-of-range key 'grid_n': must be a power of two >= 64, "
-                          f"got {cfg['grid_n']}")
-    if cfg["box_l"] <= 0:
-        raise ConfigError(f"out-of-range key 'box_l': must be positive, got {cfg['box_l']}")
-    if not 0 < cfg["safety"] <= 1:
-        raise ConfigError(f"out-of-range key 'safety': must be in (0, 1], got {cfg['safety']}")
-    if cfg["seed"] < 0:
-        raise ConfigError(f"out-of-range key 'seed': must be nonnegative, got {cfg['seed']}")
-    if cfg["threshold"] < 1e3:
-        raise ConfigError(f"out-of-range key 'threshold': must be >= 1e3, got {cfg['threshold']}")
-    for key, positive in (("eps_list", True), ("r_list", True), ("s_list", False)):
-        try:
-            entries = _floats(cfg[key])
-        except ValueError:
-            raise ConfigError(f"invalid value for key '{key}': {cfg[key]!r}") from None
-        if not all(math.isfinite(v) and (v > 0 or not positive) for v in entries):
-            rule = "finite and positive" if positive else "finite"
-            raise ConfigError(f"out-of-range key '{key}': entries must be {rule}, "
-                              f"got {cfg[key]!r}")
-        if positive and len(set(entries)) < len(entries):
-            raise ConfigError(f"out-of-range key '{key}': entries must be distinct, "
-                              f"got {cfg[key]!r}")
 
 
 def _floats(csv_text: str) -> list[float]:
@@ -273,7 +261,8 @@ def cmd_linear_decay(cfg, params, out) -> tuple[dict, bool]:
     for f in rep.fits:
         rows = [(t, v, t ** (-f.target) * v, f.s, params.sigma, params.n)
                 for t, v in rep.series[f.s]]
-        io.write_csv(os.path.join(out, f"decay_s{f.s:g}.csv"),
+        # repr round-trips, so distinct orders name distinct files
+        io.write_csv(os.path.join(out, f"decay_s{repr(f.s).removesuffix('.0')}.csv"),
                      ["t", "norm", "scaled_norm", "s", "sigma", "n"], rows)
         name = "decay_slope_l2" if f.s == 0 else "decay_slope_hs"
         passed, margin = gate(name, f.slope, f.target)

@@ -11,12 +11,10 @@ from scipy.special import gamma, gammainc
 
 from mixwave.blowup import default_sigma0, frac_lap_phi, make_eta, scaling_sweep
 from mixwave.evolve import (
-    StepControl,
     build_propagator,
     etd2_step,
     initial_state,
     linear_step,
-    run,
     RunStatus,
 )
 from mixwave.experiments import (
@@ -213,17 +211,6 @@ def test_criterion_7_subcritical_lifespan_scaling():
     report("7 sub-critical lifespan scaling", ok,
            f"slope {slopes[16384]:.3f} (target -1 +/- {GATES['lifespan_slope'][1]}), "
            f"N-doubling shift {stable:.2%}, {elapsed:.0f}s")
-
-
-@pytest.fixture(scope="module")
-def stored_blowup():
-    grid = Grid(1, 2048, 50.0)
-    state, u0, u1 = initial_state(grid, eps=1.0)
-    ctrl = StepControl(t_end=100.0, dt_max=0.02, record_t0=0.02,
-                       record_ratio=1.04, snapshots=True)
-    out = run(P05, state, ctrl, p=1.5, eps=1.0, u0=u0, u1=u1)
-    assert out.status is RunStatus.BLEW_UP
-    return out
 
 
 def test_criterion_8_blowup_certificate(stored_blowup):

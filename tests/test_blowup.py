@@ -204,13 +204,8 @@ def smooth_archive():
 
 
 @pytest.fixture(scope="module")
-def blowup_archive():
-    grid = Grid(1, 2048, 50.0)
-    state, u0, u1 = initial_state(grid, eps=1.0)
-    ctrl = StepControl(t_end=100.0, dt_max=0.02, record_t0=0.02,
-                       record_ratio=1.04, snapshots=True)
-    out = run(P, state, ctrl, p=1.5, eps=1.0, u0=u0, u1=u1)
-    return out.archive, out.t_final
+def blowup_archive(stored_blowup):
+    return stored_blowup.archive, stored_blowup.t_final
 
 
 class TestFunctionals:

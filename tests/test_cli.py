@@ -169,6 +169,9 @@ class TestConfigResolution:
         ("solve", "--t-end", "1e17", "out-of-range key 'dt_max': a step of 0.05 does not "
                                     "advance the clock at t_end = 1e+17"),
         ("blowup-functional", "--t-end", "3e14", "out-of-range key 'dt_max': a step of 0.02"),
+        ("linear-decay", "--s-list", "0,0", "out-of-range key 's_list': entries must be distinct"),
+        ("linear-decay", "--s-list", "0,-0.5",
+         "out-of-range key 's_list': entries must be nonnegative, got -0.5"),
     ])
     def test_list_and_width_ranges_exit_2(self, tmp_path, capsys, command, flag, raw,
                                           message):
@@ -177,6 +180,20 @@ class TestConfigResolution:
                         f"{flag}={raw}", "--out", str(tmp_path / "o")])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("a = -1", "out-of-range key 'a': must be positive, got -1.0"),
+        ("grid_n = 100", "out-of-range key 'grid_n': must be a power of two >= 64"),
+        ("s_list = 0,0", "out-of-range key 's_list': entries must be distinct"),
+    ])
+    def test_config_file_range_error_names_file_and_line(self, tmp_path, capsys, line,
+                                                         message):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"command = solve\n# a comment\n{line}\n")
+        code = run_cli(["--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config error: {path}:3: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_grid_too_large_to_allocate_exits_2(self, tmp_path, capsys):
@@ -276,9 +293,24 @@ def test_output_dir_keeps_what_the_failing_body_wrote(tmp_path):
     assert [p.name for p in (tmp_path / "a" / "b").iterdir()] == ["partial.csv"]
 
 
-_VALUE_KEYS = [k for k, (typ, _, _) in cli.CONFIG_KEYS.items()
+@pytest.mark.parametrize("key", [k for k, row in cli.CONFIG_KEYS.items() if row[1] is not None])
+def test_each_default_passes_its_own_row(key):
+    # defaults are never parsed, so this is what keeps them in range
+    default = cli.CONFIG_KEYS[key][1]
+    assert cli._parse_value(key, str(default)) == default
+
+
+def test_help_states_each_range_rule():
+    text = " ".join(cli.build_parser().format_help().split())
+    for key, (_, _, rule, _) in cli.CONFIG_KEYS.items():
+        if rule:
+            help_line = text.split(f"--{key.replace('_', '-')} {key.upper()} ", 1)[1]
+            assert f"must {rule[1]}" in help_line.split(" --", 1)[0], key
+
+
+_VALUE_KEYS = [k for k, (typ, _, _, _) in cli.CONFIG_KEYS.items()
                if k != "command" and typ is not bool]
-_BOOL_KEYS = [k for k, (typ, _, _) in cli.CONFIG_KEYS.items() if typ is bool]
+_BOOL_KEYS = [k for k, (typ, _, _, _) in cli.CONFIG_KEYS.items() if typ is bool]
 _RAW_VALUES = hst.one_of(
     hst.text(max_size=20),
     hst.floats().map(repr),
@@ -512,6 +544,15 @@ class TestCommands:
         assert fit["tolerance"] == GATES["decay_slope_l2"][1]
         assert set(fit["margins"]) == {"decay_slope_l2"}
         assert not list(out.glob("*.dat"))
+
+    def test_linear_decay_file_per_order(self, tmp_path):
+        # each order gets its own file, named by repr(s) without a trailing .0
+        out = tmp_path / "d"
+        code = run_cli(["linear-decay", "--a", "1", "--b", "1", "--sigma", "0.5", "--n", "1",
+                        "--s-list", "0,0.5,0.1234561,0.1234562", "--out", str(out)])
+        assert code == 0
+        assert sorted(p.name for p in out.glob("decay_s*.csv")) == [
+            "decay_s0.1234561.csv", "decay_s0.1234562.csv", "decay_s0.5.csv", "decay_s0.csv"]
 
     def test_profile_linear_smoke(self, tmp_path):
         out = tmp_path / "p"
