@@ -401,18 +401,28 @@ def scaling_targets(params: OperatorParams, p: float) -> dict[str, float]:
     }
 
 
+def radii_fault(R_list) -> str | None:
+    """The rule a sweep's positive radii break, as the words that finish
+    "must ...", or None: a scaling fit needs at least two radii, spanning at
+    least half a decade."""
+    if len(R_list) < 2:
+        return "contain at least two radii"
+    if max(R_list) / min(R_list) < math.sqrt(10.0) * (1 - 1e-9):
+        return "span at least half a decade"
+    return None
+
+
 def scaling_sweep(archive: SolutionArchive, eta: Eta, R_list, p: float,
                   K: float = 1.0) -> ScalingReport:
     """Fit log|J_i| - (1/p) log(J~ or J) against log R and compare to targets.
 
     Terms normalized by the restricted functional (time-derivative terms) use
-    J~; the operator terms use J.  R_list must span at least half a decade.
+    J~; the operator terms use J.  R_list must pass radii_fault.
     """
     R = sorted(float(r) for r in R_list)
-    if len(R) < 2:
-        raise ValueError("R_list must contain at least two radii")
-    if R[-1] / R[0] < math.sqrt(10.0) * (1 - 1e-9):
-        raise ValueError("R_list must span at least half a decade")
+    fault = radii_fault(R)
+    if fault:
+        raise ValueError(f"R_list must {fault}")
     params = archive.params
     spline = _TimeSpline(archive.times, archive.fields)
     reports = [evaluate_functionals(archive, spline, eta, r, p, K=K) for r in R]
@@ -436,7 +446,6 @@ def scaling_sweep(archive: SolutionArchive, eta: Eta, R_list, p: float,
 
     targets = scaling_targets(params, p)
     pp = p / (p - 1.0)
-    smin = params.sigma_min
     # constant of the combined inequality: left side J_R + data term, right
     # side the Holder majorant of the four error terms; the Holder chain is
     # order-tight, so the two sides track each other and the ratio stabilizes
@@ -444,8 +453,8 @@ def scaling_sweep(archive: SolutionArchive, eta: Eta, R_list, p: float,
     # while its majorant decreases)
     consts = []
     for r, rep in zip(R, reports):
-        rhs = (r ** (-2.0 * smin + (params.n + 2.0 * smin) / pp)
+        rhs = (r ** targets["j4"]
                * (rep.j_r_tilde ** (1.0 / p) * K ** (params.n / pp)
-                  + rep.j_r ** (1.0 / p) * K ** (params.n / pp - 2.0 * smin)))
+                  + rep.j_r ** (1.0 / p) * K ** (params.n / pp - 2.0 * params.sigma_min)))
         consts.append((rep.j_r + rep.data_term) / rhs)
     return ScalingReport(R, exponents, targets, consts, reports)

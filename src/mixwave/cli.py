@@ -22,6 +22,7 @@ from .blowup import (
     default_sigma0,
     frac_lap_phi,
     make_eta,
+    radii_fault,
     scaling_sweep,
 )
 from .evolve import SolutionArchive, StepControl, initial_state, run
@@ -186,6 +187,18 @@ def validate_ranges(cfg: dict) -> None:
     if cfg["sigma"] == 1:
         raise ConfigError("sigma excluded: the fractional order 1 is outside the "
                           "operator family; choose sigma in (0,1) or (1,inf)")
+    if cfg["command"] == "exponents":
+        # the exponents hold for 0 <= s <= sigma_min; linear-decay fits any s
+        smin = OperatorParams(cfg["a"], cfg["b"], cfg["sigma"], cfg["n"]).sigma_min
+        for s in _floats(cfg["s_list"]):
+            if s > smin:
+                raise ConfigError(f"out-of-range key 's_list': entries must be <= "
+                                  f"sigma_min = {smin} for exponents, got {s}")
+    if cfg["command"] == "blowup-functional" and cfg["r_list"]:
+        fault = radii_fault(_floats(cfg["r_list"]))
+        if fault:
+            raise ConfigError(f"out-of-range key 'r_list': must {fault}, "
+                              f"got {cfg['r_list']!r}")
     # the largest step these runs take must advance the clock at t_end;
     # lifespan-sweep stops short of t_end, at its resolution horizon
     step = cfg["dt_max"]
@@ -221,14 +234,14 @@ def cmd_exponents(cfg, params, out) -> tuple[dict, bool]:
         results.append({
             "s": s,
             "decay_exp": rep.decay_exp,
-            "alpha_min": rep.alpha_min,
-            "p_crit": rep.p_crit,
+            "alpha_min": params.alpha_min,
+            "p_crit": params.p_crit,
             "lifespan_exp": rep.lifespan_exp,
             "is_critical": rep.is_critical,
         })
         life = "undefined" if rep.lifespan_exp is None else f"{rep.lifespan_exp!r}"
-        print(f"s={s}: p_crit={rep.p_crit!r} decay_exp={rep.decay_exp!r} "
-              f"alpha_min={rep.alpha_min!r} lifespan_exp={life}")
+        print(f"s={s}: p_crit={params.p_crit!r} decay_exp={rep.decay_exp!r} "
+              f"alpha_min={params.alpha_min!r} lifespan_exp={life}")
     return {"exponents": results}, True
 
 
@@ -369,7 +382,8 @@ def _load_archive(cfg, params) -> SolutionArchive:
             raise ConfigError(f"snapshot {fn} has a different grid than data_u0.bin")
         stored.append((t, u))
     (_, u1), *snaps = stored
-    arc = SolutionArchive(grid0, params, cfg["eps"], u0, u1)
+    # the snapshots store the scaled data, not eps; an unknown eps is nan, as in run
+    arc = SolutionArchive(grid0, params, float("nan"), u0, u1)
     arc.times = [t for t, _ in snaps]
     arc.fields = [u for _, u in snaps]
     return arc
@@ -440,8 +454,8 @@ def cmd_fraclap(cfg, params, out) -> tuple[dict, bool]:
 
 
 # the keys blowup-functional reads when snapshots_dir names stored snapshots;
-# without it, the run that makes them reads the grid and step keys too
-STORED_SNAPSHOT_KEYS = ("p", "eps", "snapshots_dir", "r_list", "k_scale")
+# without it, the run that makes them reads eps and the grid and step keys too
+STORED_SNAPSHOT_KEYS = ("p", "snapshots_dir", "r_list", "k_scale")
 
 # name: (command function, summary file, keys it reads besides COMMON_KEYS)
 COMMANDS = {
@@ -456,8 +470,8 @@ COMMANDS = {
                        ("p", "eps_list", "grid_n", "box_l", "t_end", "dt_max",
                         "threshold")),
     "blowup-functional": (cmd_blowup_functional, "blowup_functional.json",
-                          STORED_SNAPSHOT_KEYS + ("grid_n", "box_l", "t_end", "dt_max",
-                                                  "threshold", "width")),
+                          STORED_SNAPSHOT_KEYS + ("eps", "grid_n", "box_l", "t_end",
+                                                  "dt_max", "threshold", "width")),
     "fraclap-check": (cmd_fraclap, "fraclap.json", ("l_eval",)),
     "exponents": (cmd_exponents, "exponents.json", ("p", "s_list")),
 }

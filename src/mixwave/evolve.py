@@ -210,10 +210,9 @@ def etd2_step(state: FieldState, prop: Propagator, p: float,
 
 
 def resolution_horizon(params: OperatorParams, L: float) -> float:
-    """Largest time with diffusion length below L/4 (periodization guard)."""
-    if params.sigma < 1:
-        return (L / 4.0) ** (2.0 * params.sigma) / params.b
-    return (L / 4.0) ** 2 / params.a
+    """Largest time with diffusion length (c t)^(1/(2 sigma_min)) below L/4,
+    c = params.diffusivity (periodization guard)."""
+    return (L / 4.0) ** (2.0 * params.sigma_min) / params.diffusivity
 
 
 def initial_state(grid: Grid, eps: float, width: float = 1.0):

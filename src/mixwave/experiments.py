@@ -79,7 +79,7 @@ class ExperimentInvalid(RuntimeError):
 def decay_experiment(params: OperatorParams, s_list=(0.0, None), mode: str = "radial",
                      t_window: tuple[float, float] = (1e2, 1e4), n_samples: int = 21,
                      datum_width: float = 1.0) -> DecayReport:
-    """Fit Sobolev-norm decay slopes against (n+2s)/(4 sigma_min).
+    """Fit Sobolev-norm decay slopes against params.decay_rate(s).
 
     Evaluates the linear solution by radial quadrature on the given window.
     mode must be "radial", the only route (the benchmark still names it); the
@@ -102,7 +102,7 @@ def decay_experiment(params: OperatorParams, s_list=(0.0, None), mode: str = "ra
     for s in s_vals:
         pts = [(float(t), norm(s, float(t))) for t in ts]
         series[s] = pts
-        target = -(params.n + 2.0 * s) / (4.0 * params.sigma_min)
+        target = -params.decay_rate(s)
         fits.append(SlopeFit(s, fit_power_law(pts).slope, target, t_window))
     return DecayReport(fits, series)
 
@@ -158,7 +158,7 @@ def profile_experiment(params: OperatorParams, p: float, eps: float, horizon: fl
 
     times: list[float] = []
     scaled: list[float] = []
-    decay = params.n / (4.0 * params.sigma_min)
+    decay = params.decay_rate(0.0)
     arc = outcome.archive
     g = grid
     ratio = float("nan")
@@ -188,8 +188,7 @@ def profile_experiment(params: OperatorParams, p: float, eps: float, horizon: fl
     sel &= np.asarray(outcome.series.l2) > 0
     if sel.sum() >= 5:
         f = fit_power_law(list(zip(ts[sel], np.asarray(outcome.series.l2)[sel])))
-        l2_fit = SlopeFit(0.0, f.slope, -params.n / (4.0 * params.sigma_min),
-                          (horizon_valid / 10.0, horizon_valid))
+        l2_fit = SlopeFit(0.0, f.slope, -decay, (horizon_valid / 10.0, horizon_valid))
 
     return ProfileReport(
         times=times, scaled_error=scaled, theta=theta, tail_correction=tail,

@@ -105,13 +105,21 @@ def kernel_eval(params: OperatorParams, t, r) -> KernelValues:
         t = t.reshape(1)
         r = np.ascontiguousarray(np.atleast_1d(r))
 
-    m = symbol(params, r)
-    d = 1.0 - 4.0 * m
-    half_t = 0.5 * t
-    w = d * (half_t * half_t)
+    # an overflow to inf is caught below, by name, rather than warned about
+    with np.errstate(over="ignore"):
+        m = symbol(params, r)
+        d = 1.0 - 4.0 * m
+        half_t = 0.5 * t
+        w = d * (half_t * half_t)
 
     # w_min/w_max are NaN when w holds a NaN, and no branch test holds then
     w_min, w_max = w.min(), w.max()
+    if w_min == -math.inf:
+        # the trigonometric branch would turn the infinite phase into NaN kernels
+        r_over = r[np.isneginf(w)].min()
+        raise ValueError(f"kernel_eval: d*(t/2)^2 overflows to -inf at radius "
+                         f"r = {r_over:.6g} (sigma = {params.sigma:g}): the symbol "
+                         f"a r^2 + b r^(2 sigma) is too large for float64")
     if -_SERIES_W <= w_min and w_max <= _SERIES_W:
         k0, k1, dk1 = _band_kernels(t, w)
     elif w_min > _SERIES_W:
@@ -142,21 +150,15 @@ def kernel_eval(params: OperatorParams, t, r) -> KernelValues:
 
 
 def profile_hat(params: OperatorParams, t, r):
-    """Fourier multiplier of the dominant diffusion profile.
-
-    exp(-b r^(2 sigma) t) for sigma < 1 (anomalous branch), exp(-a r^2 t)
-    for sigma > 1 (classical branch); sigma = 1 is rejected at parameter
-    construction.
+    """Fourier multiplier exp(-c r^(2 sigma_min) t) of the dominant diffusion
+    profile, with c = params.diffusivity: exp(-b r^(2 sigma) t) for sigma < 1,
+    exp(-a r^2 t) for sigma > 1.
     """
     t = np.asarray(t, float)
     r = np.asarray(r, float)
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
-    if params.sigma < 1:
-        g = np.exp(-params.b * r ** (2.0 * params.sigma) * t)
-    else:
-        g = np.exp(-params.a * r**2 * t)
-    return g
+    return np.exp(-params.diffusivity * r ** (2.0 * params.sigma_min) * t)
 
 
 # --- Duhamel weights -------------------------------------------------------

@@ -47,16 +47,27 @@ class OperatorParams:
         return min(1.0, self.sigma)
 
     @property
+    def diffusivity(self) -> float:
+        """Coefficient of the term that dominates the symbol at low frequency:
+        b r^(2 sigma) for sigma < 1 (anomalous), a r^2 for sigma > 1 (classical).
+        The one place the package decides the regime."""
+        return self.b if self.sigma < 1 else self.a
+
+    def decay_rate(self, s: float) -> float:
+        """Decay rate (n + 2s)/(4 sigma_min) of the order-s Sobolev norm."""
+        return (self.n + 2.0 * s) / (4.0 * self.sigma_min)
+
+    @property
     def p_crit(self) -> float:
         """Critical nonlinearity power separating blow-up from global existence."""
         return 1.0 + 2.0 * self.sigma_min / self.n
 
     @property
     def alpha_min(self) -> float:
-        """Extra decay order of the kernel-vs-profile error at low frequency."""
-        if self.sigma < 1:
-            return min(2.0 - 2.0 * self.sigma, 2.0 * self.sigma)
-        return min(2.0, 2.0 * self.sigma - 2.0)
+        """Extra decay order of the kernel-vs-profile error at low frequency:
+        the gap 2|1 - sigma| between the two orders of the symbol, capped by
+        the dominant order 2 sigma_min."""
+        return min(2.0 * abs(1.0 - self.sigma), 2.0 * self.sigma_min)
 
 
 def symbol(params: OperatorParams, r):
@@ -71,15 +82,14 @@ def symbol(params: OperatorParams, r):
 class ExponentReport:
     """Closed-form exponents for one (s, p) scenario."""
 
-    p_crit: float
-    decay_exp: float        # Sobolev-norm decay rate (n+2s)/(4 sigma_min)
-    alpha_min: float
+    decay_exp: float        # Sobolev-norm decay rate, params.decay_rate(s)
     lifespan_exp: float | None  # defined only for p < p_crit
     is_critical: bool
 
 
 def exponents(params: OperatorParams, s: float, p: float) -> ExponentReport:
-    """Decay, profile-error and lifespan exponents for regularity s and power p.
+    """Decay and lifespan exponents for regularity s and power p; p_crit and
+    alpha_min depend on the params alone and are read from them.
 
     The lifespan exponent -2*sigma_min*(p-1)/(2*sigma_min - n*(p-1)) is only
     defined below the critical power; at or above it the field is None.
@@ -96,9 +106,7 @@ def exponents(params: OperatorParams, s: float, p: float) -> ExponentReport:
     else:
         lifespan = None
     return ExponentReport(
-        p_crit=pc,
-        decay_exp=(params.n + 2.0 * s) / (4.0 * smin),
-        alpha_min=params.alpha_min,
+        decay_exp=params.decay_rate(s),
         lifespan_exp=lifespan,
         is_critical=critical,
     )

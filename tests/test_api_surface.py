@@ -24,6 +24,9 @@ members that only the tests read, each with its reason.
 
 No module under tests/ or perfbench/ imports a name it never references.
 
+The sigma regime is decided once: OperatorParams.diffusivity is the only
+place in src/mixwave that orders sigma against 1 (by <, <=, > or >=).
+
 scipy is a test dependency only: no module of src/mixwave loads it, checked
 in a fresh interpreter.
 """
@@ -240,6 +243,45 @@ def unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.relative_to(ROOT)}: {name}" for name in imported - used]
     return sorted(unused)
+
+
+def _is_sigma(node):
+    """sigma, obj.sigma or cfg["sigma"]."""
+    return (getattr(node, "id", None) == "sigma" or getattr(node, "attr", None) == "sigma"
+            or (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+                and node.slice.value == "sigma"))
+
+
+def _is_one(node):
+    return (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            and node.value == 1)
+
+
+def sigma_regime_decisions():
+    """Sorted 'module.function' of every ordering comparison of sigma with 1
+    in src/mixwave, one entry per comparison, innermost function named."""
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            for op, lhs, rhs in zip(node.ops, sides, sides[1:]):
+                if isinstance(op, ordering) and (
+                        (_is_sigma(lhs) and _is_one(rhs)) or (_is_one(lhs) and _is_sigma(rhs))):
+                    found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return sorted(found)
+
+
+def test_sigma_regime_is_decided_only_by_diffusivity():
+    assert sigma_regime_decisions() == ["params.OperatorParams.diffusivity"]
 
 
 def test_every_public_name_is_used_outside_the_tests():

@@ -172,6 +172,13 @@ class TestConfigResolution:
         ("linear-decay", "--s-list", "0,0", "out-of-range key 's_list': entries must be distinct"),
         ("linear-decay", "--s-list", "0,-0.5",
          "out-of-range key 's_list': entries must be nonnegative, got -0.5"),
+        ("exponents", "--s-list", "0,0.7",
+         "out-of-range key 's_list': entries must be <= sigma_min = 0.5 for exponents, "
+         "got 0.7"),
+        ("blowup-functional", "--r-list", "1,2",
+         "out-of-range key 'r_list': must span at least half a decade, got '1,2'"),
+        ("blowup-functional", "--r-list", "5",
+         "out-of-range key 'r_list': must contain at least two radii, got '5'"),
     ])
     def test_list_and_width_ranges_exit_2(self, tmp_path, capsys, command, flag, raw,
                                           message):
@@ -254,10 +261,11 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("key, raw", [("grid_n", "64"), ("box_l", "20"),
                                           ("t_end", "5"), ("dt_max", "0.01"),
-                                          ("threshold", "1e4"), ("width", "2")])
+                                          ("threshold", "1e4"), ("width", "2"),
+                                          ("eps", "1.0")])
     def test_run_key_with_stored_snapshots_exits_2(self, tmp_path, capsys, key, raw):
-        # the stored snapshots fix the grid and horizon; such a key used to be
-        # accepted and recorded without effect
+        # the stored snapshots fix the grid, the horizon and the data; such a
+        # key used to be accepted and recorded without effect
         argv = ["blowup-functional", "--a", "1", "--b", "1", "--sigma", "0.5", "--n", "1",
                 "--snapshots-dir", str(tmp_path / "run"), f"--{key.replace('_', '-')}={raw}",
                 "--out", str(tmp_path / "o")]
@@ -266,8 +274,7 @@ class TestConfigResolution:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
         # the keys of the stored-snapshot mode itself are accepted
-        cfg = resolve_config(argv[:-3] + ["--p", "2", "--eps", "0.5", "--r-list", "2,5",
-                                          "--k-scale", "2"])
+        cfg = resolve_config(argv[:-3] + ["--p", "2", "--r-list", "2,8", "--k-scale", "2"])
         assert cfg["snapshots_dir"] == str(tmp_path / "run")
 
     @pytest.mark.parametrize("eps", ["1e7", "1e300"])
@@ -281,6 +288,37 @@ class TestConfigResolution:
         assert "at or over the blow-up threshold" in captured.err
         assert "blew_up" not in captured.out
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, args, radius", [
+        ("linear-decay", ["--sigma", "50"], "r = 1117.82"),
+        ("solve", ["--sigma", "200", "--grid-n", "64", "--box-l", "10", "--t-end", "1"],
+         "r = 5.96903"),
+        ("solve", ["--sigma", "0.5", "--grid-n", "64", "--box-l", "1e-152", "--t-end", "1"],
+         "r = 6.9115e+153"),
+        ("profile", ["--sigma", "200", "--grid-n", "64", "--box-l", "10", "--t-end", "1"],
+         "r = 5.96903"),
+        ("blowup-functional", ["--sigma", "200", "--grid-n", "64", "--box-l", "10",
+                               "--t-end", "1"], "r = 5.96903"),
+        ("kernels", ["--sigma", "200"], "r = 5.93304"),
+    ])
+    def test_symbol_overflow_exits_2(self, tmp_path, capsys, command, args, radius):
+        # an infinite symbol used to give NaN kernels: a traceback, a fake
+        # blow-up at the first step or NaN residuals
+        code = run_cli([command, "--a", "1", "--b", "1", "--n", "1", *args,
+                        "--out", str(tmp_path / "o")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert (f"error: kernel_eval: d*(t/2)^2 overflows to -inf at radius {radius}"
+                in captured.err)
+        assert "blew_up" not in captured.out
+        assert not (tmp_path / "o").exists()
+
+    def test_s_list_bound_holds_for_exponents_only(self):
+        # the exponents hold for s <= sigma_min; linear-decay fits any order
+        argv = ["--a", "1", "--b", "1", "--sigma", "0.5", "--n", "1", "--s-list", "0.7"]
+        with pytest.raises(ConfigError, match="out-of-range key 's_list'"):
+            resolve_config(["exponents", *argv])
+        assert resolve_config(["linear-decay", *argv])["s_list"] == "0.7"
 
 
 def test_output_dir_keeps_what_the_failing_body_wrote(tmp_path):
@@ -585,8 +623,7 @@ class TestCommands:
         func_out = tmp_path / "func"
         code = run_cli(["blowup-functional", "--a", "1", "--b", "1",
                         "--sigma", "0.5", "--n", "1", "--p", "1.5",
-                        "--eps", "1.0", "--snapshots-dir", str(solve_out),
-                        "--out", str(func_out)])
+                        "--snapshots-dir", str(solve_out), "--out", str(func_out)])
         assert code == 0
         payload = json.loads((func_out / "blowup_functional.json").read_text())
         assert payload["j_tilde_le_j"] is True
@@ -594,7 +631,7 @@ class TestCommands:
         # radii given as r_list are swept as given, in place of the default seven
         code = run_cli(["blowup-functional", "--a", "1", "--b", "1",
                         "--sigma", "0.5", "--n", "1", "--p", "1.5",
-                        "--eps", "1.0", "--snapshots-dir", str(solve_out),
+                        "--snapshots-dir", str(solve_out),
                         "--r-list", "1.5,5", "--out", str(func_out)])
         assert code == 0
         payload = json.loads((func_out / "blowup_functional.json").read_text())
@@ -617,7 +654,7 @@ class TestStoredSnapshotChecks:
     @staticmethod
     def _functional(snaps, tmp_path, n="1"):
         return run_cli(["blowup-functional", "--a", "1", "--b", "1", "--sigma", "0.5",
-                        "--n", n, "--p", "1.5", "--eps", "1.0",
+                        "--n", n, "--p", "1.5",
                         "--snapshots-dir", str(snaps), "--out", str(tmp_path / "o")])
 
     @pytest.mark.parametrize("grid", [Grid(1, 256, 10.0), Grid(1, 128, 50.0)],

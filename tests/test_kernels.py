@@ -176,6 +176,7 @@ class TestKernelValues:
         (np.nan, [1.0, 2.0], "time t is NaN"),
         ([1.0, np.nan], [1.0, 2.0], "time t is NaN"),
         (np.nan, 1.0, "time t is NaN"),
+        (1.0, [0.5, np.inf], "overflows to -inf at radius r = inf"),
     ])
     def test_nan_argument_rejected_by_name(self, t, r, cause):
         # no regime selects a NaN w = d*(t/2)^2, so the outputs would be

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from mixwave.evolve import resolution_horizon
+from mixwave.kernels import profile_hat
 from mixwave.params import OperatorParams, exponents, symbol, theorem_hypotheses
 
 
@@ -47,7 +49,7 @@ def test_exponent_report_values():
     p = OperatorParams(1.0, 1.0, 0.5, 1)
     rep = exponents(p, s=0.0, p=1.5)
     assert rep.decay_exp == pytest.approx(0.5)
-    assert rep.alpha_min == pytest.approx(1.0)  # min(2-2*0.5, 2*0.5)
+    assert p.alpha_min == pytest.approx(1.0)  # min(2-2*0.5, 2*0.5)
     assert rep.lifespan_exp == pytest.approx(-1.0)
     assert not rep.is_critical
 
@@ -65,6 +67,37 @@ def test_alpha_min_branches():
     assert OperatorParams(1, 1, 0.9, 1).alpha_min == pytest.approx(0.2)    # 2-2*sigma
     assert OperatorParams(1, 1, 1.5, 1).alpha_min == pytest.approx(1.0)    # 2*sigma-2
     assert OperatorParams(1, 1, 4.0, 1).alpha_min == pytest.approx(2.0)
+
+
+def test_diffusivity_is_the_dominant_coefficient():
+    # b r^(2 sigma) dominates a r^2 at low frequency below sigma = 1, a r^2 above
+    assert OperatorParams(2.0, 3.0, 0.5, 1).diffusivity == 3.0
+    assert OperatorParams(2.0, 3.0, 0.999, 1).diffusivity == 3.0
+    assert OperatorParams(2.0, 3.0, 1.001, 1).diffusivity == 2.0
+    assert OperatorParams(2.0, 3.0, 4.0, 2).diffusivity == 2.0
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.5, 0.9, 1.1, 1.5, 3.0, 10.0])
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.3, 2.7)])
+def test_regime_forms_match_the_two_branch_forms(a, b, sigma):
+    # the single formulas through sigma_min and diffusivity give the bits of
+    # the branch-per-regime forms they replace
+    params = OperatorParams(a, b, sigma, 1)
+    rng = np.random.default_rng(7)
+    t = 10.0 ** rng.uniform(-2, 3, (50, 1))
+    r = 10.0 ** rng.uniform(-4, 1, 200)
+    boxes = (1.0, 7.3, 50.0, 2560.0)
+    if sigma < 1:
+        hat = np.exp(-b * r ** (2.0 * sigma) * t)
+        alpha = min(2.0 - 2.0 * sigma, 2.0 * sigma)
+        horizons = [(L / 4.0) ** (2.0 * sigma) / b for L in boxes]
+    else:
+        hat = np.exp(-a * r**2 * t)
+        alpha = min(2.0, 2.0 * sigma - 2.0)
+        horizons = [(L / 4.0) ** 2 / a for L in boxes]
+    assert profile_hat(params, t, r).tobytes() == hat.tobytes()
+    assert params.alpha_min == alpha
+    assert [resolution_horizon(params, L) for L in boxes] == horizons
 
 
 def test_exponents_domain_checks():
