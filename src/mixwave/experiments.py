@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -215,14 +218,70 @@ class LifespanReport:
     hypothesis_notes: list[str] = field(default_factory=list)
 
 
+def lifespan_member(params: OperatorParams, p: float, eps: float, grid: Grid,
+                    dt_max: float, t_cap: float, threshold: float,
+                    critical: bool) -> LifespanRecord:
+    """The blow-up record of one lifespan_sweep run at data size eps."""
+    state, u0, u1 = initial_state(grid, eps=eps)
+    # critical-case divergences crawl once the spike outruns the grid, so
+    # the exploratory sweep stops at the configured threshold without
+    # pushing on to the 1e8 band edge
+    ctrl = StepControl(t_end=min(t_cap, resolution_horizon(params, grid.L)), dt_max=dt_max,
+                       blowup_threshold=threshold, track_band=not critical,
+                       record_t0=1.0, record_ratio=1.3)
+    out = run(params, state, ctrl, p=p, eps=eps, u0=u0, u1=u1)
+    if out.status is not RunStatus.BLEW_UP:
+        return LifespanRecord(eps, None, (None, None),
+                              flagged="no blow-up before resolution loss")
+    return LifespanRecord(eps, out.t_final, (out.crossings.get(1e4), out.crossings.get(1e8)))
+
+
+def _recording_warnings(fn, item):
+    """fn(item) and the distinct warnings it raised, as warn_explicit arguments."""
+    with warnings.catch_warnings(record=True) as caught:
+        # every distinct warning once: the caller's filters decide its fate
+        warnings.simplefilter("default")
+        result = fn(item)
+    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+def _map_members(member, eps: list[float]) -> list[LifespanRecord]:
+    """[member(e) for e in eps] on up to one spawned process per usable CPU.
+
+    A warning raised in a worker is raised again here, through this process's
+    filters, as a serial loop would raise it.
+    """
+    # imported here: loading the process pool costs every importer of this
+    # module tens of milliseconds, and only the sweep uses it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(eps), cpus or 1)
+    try:
+        # spawned workers start from a fresh import, so no thread state is forked
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            results = list(pool.map(partial(_recording_warnings, member), eps))
+    except BrokenProcessPool as exc:
+        raise MemoryError(f"lifespan sweep: a worker process ended abruptly, as when it is "
+                          f"killed for memory; each of the {workers} workers holds one run") from exc
+    for _, caught in results:
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
+    return [record for record, _ in results]
+
+
 def lifespan_sweep(params: OperatorParams, p: float, eps_list, grid: Grid,
                    dt_max: float = 0.05, t_cap: float = 4000.0,
                    threshold: float = 1e6) -> LifespanReport:
     """Fit the blow-up-time scaling law over a sweep of data sizes.
 
-    Sub-critical p fits log T against log eps and reports the slope next to
-    the closed-form target; the critical case fits log T linearly in
-    eps^-(p-1) and reports the largest residual of that linear model.
+    The members run in up to one worker process per usable CPU.  Sub-critical p
+    fits log T against log eps and reports the slope next to the closed-form
+    target; the critical case fits log T linearly in eps^-(p-1) and reports
+    the largest residual of that linear model.
     """
     eps = sorted(float(e) for e in eps_list)
     if len(eps) < 2:
@@ -233,23 +292,9 @@ def lifespan_sweep(params: OperatorParams, p: float, eps_list, grid: Grid,
     if p > params.p_crit and not rep.is_critical:
         raise ValueError(f"lifespan sweep needs p <= p_crit = {params.p_crit}")
 
-    records: list[LifespanRecord] = []
-    horizon = resolution_horizon(params, grid.L)
-    for e in eps:
-        state, u0, u1 = initial_state(grid, eps=e)
-        # critical-case divergences crawl once the spike outruns the grid, so
-        # the exploratory sweep stops at the configured threshold without
-        # pushing on to the 1e8 band edge
-        ctrl = StepControl(t_end=min(t_cap, horizon), dt_max=dt_max,
-                           blowup_threshold=threshold, track_band=not rep.is_critical,
-                           record_t0=1.0, record_ratio=1.3)
-        out = run(params, state, ctrl, p=p, eps=e, u0=u0, u1=u1)
-        if out.status is not RunStatus.BLEW_UP:
-            records.append(LifespanRecord(e, None, (None, None),
-                                          flagged="no blow-up before resolution loss"))
-            continue
-        band = (out.crossings.get(1e4), out.crossings.get(1e8))
-        records.append(LifespanRecord(e, out.t_final, band))
+    member = partial(lifespan_member, params, p, grid=grid, dt_max=dt_max, t_cap=t_cap,
+                     threshold=threshold, critical=rep.is_critical)
+    records = _map_members(member, eps)
 
     usable = [(r.epsilon, r.t_blowup) for r in records if r.t_blowup is not None]
     if rep.is_critical:

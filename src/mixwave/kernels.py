@@ -42,8 +42,16 @@ _COSH_COEFFS = tuple(1.0 / math.factorial(2 * k) for k in range(5, -1, -1))
 _SINHC_COEFFS = tuple(1.0 / math.factorial(2 * k + 1) for k in range(5, -1, -1))
 
 
-def _cs_series(w):
-    """cosh(sqrt(w)) and sinh(sqrt(w))/sqrt(w) as entire series in w, |w| small."""
+def _damped_oscillator(t, c, s):
+    """(k0, k1, dk1) = e^(-t/2) (c + t/2 s, t s, c - t/2 s), from cosh and
+    sinh(x)/x in the band or cos and sin(x)/x for a conjugate root pair."""
+    pref = np.exp(-0.5 * t)
+    return pref * (c + 0.5 * t * s), pref * t * s, pref * (c - 0.5 * t * s)
+
+
+def _band_kernels(t, w):
+    """(k0, k1, dk1) in the series band |w| <= _SERIES_W, from cosh(sqrt(w))
+    and sinh(sqrt(w))/sqrt(w) as entire series in w."""
     # 6 terms: remainder ~ w^6/12! is far below roundoff for |w| <= 1e-4;
     # the Horner start 0*w + c equals c for the finite w of the band
     c = _COSH_COEFFS[0] * w + _COSH_COEFFS[1]
@@ -51,14 +59,7 @@ def _cs_series(w):
     for cc, sc in zip(_COSH_COEFFS[2:], _SINHC_COEFFS[2:]):
         c = c * w + cc
         s = s * w + sc
-    return c, s
-
-
-def _band_kernels(t, w):
-    """(k0, k1, dk1) in the series band |w| <= _SERIES_W."""
-    c, s = _cs_series(w)
-    pref = np.exp(-0.5 * t)
-    return pref * (c + 0.5 * t * s), pref * t * s, pref * (c - 0.5 * t * s)
+    return _damped_oscillator(t, c, s)
 
 
 def _real_root_kernels(t, d):
@@ -75,11 +76,7 @@ def _real_root_kernels(t, d):
 def _trig_kernels(t, w):
     """(k0, k1, dk1) for a conjugate root pair, w < -_SERIES_W."""
     x = np.sqrt(-w)                    # = omega * t > 0
-    pref = np.exp(-0.5 * t)
-    cos_x = np.cos(x)
-    sinc = np.sin(x) / x
-    return (pref * (cos_x + 0.5 * t * sinc), pref * t * sinc,
-            pref * (cos_x - 0.5 * t * sinc))
+    return _damped_oscillator(t, np.cos(x), np.sin(x) / x)
 
 
 def kernel_eval(params: OperatorParams, t, r) -> KernelValues:
@@ -105,35 +102,36 @@ def kernel_eval(params: OperatorParams, t, r) -> KernelValues:
         t = t.reshape(1)
         r = np.ascontiguousarray(np.atleast_1d(r))
 
-    # an overflow to inf is caught below, by name, rather than warned about
-    with np.errstate(over="ignore"):
+    # an overflow, or the NaN of -inf * 0 at t = 0, is caught below by name
+    with np.errstate(over="ignore", invalid="ignore"):
         m = symbol(params, r)
         d = 1.0 - 4.0 * m
         half_t = 0.5 * t
         w = d * (half_t * half_t)
 
-    # w_min/w_max are NaN when w holds a NaN, and no branch test holds then
+    # w_min/w_max are NaN when w holds a NaN, and no branch test holds then;
+    # the trigonometric branch would turn an infinite phase into NaN kernels
     w_min, w_max = w.min(), w.max()
-    if w_min == -math.inf:
-        # the trigonometric branch would turn the infinite phase into NaN kernels
-        r_over = r[np.isneginf(w)].min()
-        raise ValueError(f"kernel_eval: d*(t/2)^2 overflows to -inf at radius "
-                         f"r = {r_over:.6g} (sigma = {params.sigma:g}): the symbol "
-                         f"a r^2 + b r^(2 sigma) is too large for float64")
+    if not w_min > -math.inf:
+        if np.isnan(t).any():
+            raise ValueError("kernel_eval: time t is NaN")
+        if np.isnan(r).any():
+            raise ValueError("kernel_eval: radius r is NaN")
+        # a symbol that overflows makes w -inf, or -inf * 0 = NaN at t = 0
+        over = np.isneginf(w) | (np.isinf(m) & np.isfinite(r))
+        if over.any():
+            raise ValueError(f"kernel_eval: d*(t/2)^2 overflows to -inf at radius "
+                             f"r = {r[over].min():.6g} (sigma = {params.sigma:g}), or is "
+                             f"-inf*0 at t = 0: the symbol a r^2 + b r^(2 sigma) is too "
+                             f"large for float64")
+        raise ValueError("kernel_eval: d*(t/2)^2 is inf*0, from an infinite "
+                         "radius at t = 0 or an infinite time")
     if -_SERIES_W <= w_min and w_max <= _SERIES_W:
         k0, k1, dk1 = _band_kernels(t, w)
     elif w_min > _SERIES_W:
         k0, k1, dk1 = _real_root_kernels(t, d)
     elif w_max < -_SERIES_W:
         k0, k1, dk1 = _trig_kernels(t, w)
-    elif math.isnan(w_min):
-        # no regime mask would select these entries of the outputs
-        if np.isnan(t).any():
-            raise ValueError("kernel_eval: time t is NaN")
-        if np.isnan(r).any():
-            raise ValueError("kernel_eval: radius r is NaN")
-        raise ValueError("kernel_eval: d*(t/2)^2 is inf*0, from an infinite "
-                         "radius at t = 0 or an infinite time")
     else:
         k0 = np.empty_like(w)
         k1 = np.empty_like(w)
@@ -177,16 +175,14 @@ _PHI_SERIES_TERMS = 26
 _DD_BAND = 1e-3
 
 
-# Taylor coefficients, highest order first: phi1 = sum z^k/(k+1)!,
-# psi = sum (k+1) z^k/(k+2)!, and phi_n = sum z^k/(k+n)! for the ladder
-_PHI1_COEFFS = tuple(1.0 / math.factorial(k + 1)
-                     for k in range(_PHI_SERIES_TERMS - 1, -1, -1))
-_PSI_COEFFS = tuple((k + 1.0) / math.factorial(k + 2)
-                    for k in range(_PHI_SERIES_TERMS - 1, -1, -1))
+# Taylor coefficients, highest order first: phi_n = sum z^k/(k+n)! for the
+# ladder, whose first row is phi1's, and psi = sum (k+1) z^k/(k+2)!
 _LADDER_COUNT = 7    # the fifth derivative of phi1 - phi2 reaches phi_7
 _LADDER_COEFFS = tuple(tuple(1.0 / math.factorial(k + n)
                              for k in range(_PHI_SERIES_TERMS - 1, -1, -1))
                        for n in range(1, _LADDER_COUNT + 1))
+_PSI_COEFFS = tuple((k + 1.0) / math.factorial(k + 2)
+                    for k in range(_PHI_SERIES_TERMS - 1, -1, -1))
 _INV_FACTORIALS = tuple(1.0 / math.factorial(n) for n in range(_LADDER_COUNT))
 
 
@@ -201,9 +197,9 @@ def _phi1_psi_series(z):
     acc = np.empty_like(zz)
     tmp = np.empty_like(zz)
     p1, ps, tmp1, tmps = acc[:n], acc[n:], tmp[:n], tmp[n:]
-    p1[...] = _PHI1_COEFFS[0]
+    p1[...] = _LADDER_COEFFS[0][0]
     ps[...] = _PSI_COEFFS[0]
-    for c1, cp in zip(_PHI1_COEFFS[1:], _PSI_COEFFS[1:]):
+    for c1, cp in zip(_LADDER_COEFFS[0][1:], _PSI_COEFFS[1:]):
         np.multiply(acc, zz, out=tmp)
         np.add(tmp1, c1, out=p1)
         np.add(tmps, cp, out=ps)

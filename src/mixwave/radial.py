@@ -31,10 +31,11 @@ def gaussian_datum(n: int, width: float = 1.0) -> Callable[[np.ndarray], np.ndar
     (2 pi)^(-n/2) times its spatial integral.
     """
     w2 = width * width
+    unit = (2.0 * math.pi) ** (-n / 2.0)
 
     def profile(r):
         r = np.asarray(r, float)
-        return (2.0 * math.pi) ** (-n / 2.0) * np.exp(-0.5 * w2 * r**2)
+        return unit * np.exp(-0.5 * w2 * r**2)
 
     return profile
 
@@ -45,27 +46,23 @@ class QuadratureError(RuntimeError):
 
 @lru_cache(maxsize=32)
 def _gauss_rule(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return np.polynomial.legendre.leggauss(order)
 
 
-def _gauss_panels(lo: float, hi: float, order: int):
-    x, w = _gauss_rule(order)
-    mid = 0.5 * (hi + lo)
-    half = 0.5 * (hi - lo)
-    return mid + half * x, half * w
+# radii on which the cutoff is searched
+_R_SCAN = np.logspace(-10, 5, 1200)
+_R_SCAN.flags.writeable = False
 
 
 def _adaptive_r_max(integrand_amp: Callable[[np.ndarray], np.ndarray]) -> float:
     # smallest radius beyond which the amplitude drops below 1e-18 of its
     # peak, doubled for safety
-    scan = np.logspace(-10, 5, 1200)
-    vals = np.abs(integrand_amp(scan))
+    vals = np.abs(integrand_amp(_R_SCAN))
     peak = vals.max()
     if peak == 0.0:
         return 1.0
     above = np.nonzero(vals >= 1e-18 * peak)[0]
-    return 2.0 * scan[above[-1]]
+    return 2.0 * _R_SCAN[above[-1]]
 
 
 # decades of radius the geometric panels span below r_max
@@ -86,30 +83,29 @@ def _panel_splits(edges: np.ndarray,
     return [max(1, int(math.ceil(float(dphi) / _PHASE_PER_PANEL))) for dphi in dphis]
 
 
-def _panel_bounds(r_max: float,
-                  phase: Callable[[np.ndarray], np.ndarray] | None) -> list[tuple]:
-    """(lo, hi) of every sub-panel, largest radii first, ending with the stub
-    [0, smallest edge]."""
+def _panel_bounds(r_max: float, phase: Callable[[np.ndarray], np.ndarray] | None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper edges of every sub-panel, largest radii first, ending
+    with the stub [0, smallest edge]."""
     n_panels = int(math.ceil(_TAIL_DECADES * math.log(10.0) / math.log(_REFINEMENT)))
     edges = r_max * _REFINEMENT ** (-np.arange(n_panels + 1, dtype=float))
-    bounds = []
-    for hi, lo, splits in zip(edges[:-1], edges[1:], _panel_splits(edges, phase)):
-        if splits == 1:
-            bounds.append((lo, hi))
-        else:
-            sub = np.linspace(lo, hi, splits + 1)
-            bounds.extend(zip(sub[:-1], sub[1:]))
+    subs = [np.linspace(lo, hi, splits + 1)
+            for hi, lo, splits in zip(edges[:-1], edges[1:], _panel_splits(edges, phase))]
     # stub below the last edge: integrand there is ~ r^(2s+n-1) * const
-    bounds.append((0.0, edges[-1]))
-    return bounds
+    subs.append(np.array([0.0, edges[-1]]))
+    return np.concatenate([sub[:-1] for sub in subs]), np.concatenate([sub[1:] for sub in subs])
 
 
-def _panel_integral(f: Callable[[np.ndarray], np.ndarray], bounds: list[tuple],
-                    order: int) -> float:
+def _panel_integral(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+                    hi: np.ndarray, order: int) -> float:
+    """Gauss-Legendre sum of f over the panels [lo, hi], one call of f per panel."""
+    x, w = _gauss_rule(order)
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * x
+    weights = half[:, None] * w
     total = 0.0
-    for a_, b_ in bounds:
-        x, w = _gauss_panels(a_, b_, order)
-        total += float(np.dot(w, f(x)))
+    for r, wr in zip(nodes, weights):
+        total += float(np.dot(wr, f(r)))
     return total
 
 
@@ -126,9 +122,9 @@ def radial_integral(f: Callable[[np.ndarray], np.ndarray],
     """
     if r_max is None:
         r_max = _adaptive_r_max(amplitude if amplitude is not None else f)
-    bounds = _panel_bounds(r_max, phase)
-    full = _panel_integral(f, bounds, panel_order)
-    half = _panel_integral(f, bounds, max(4, panel_order // 2))
+    lo, hi = _panel_bounds(r_max, phase)
+    full = _panel_integral(f, lo, hi, panel_order)
+    half = _panel_integral(f, lo, hi, max(4, panel_order // 2))
     # the difference is dominated by the half-order error, so the gate only
     # screens for unresolved integrands, not the achieved accuracy
     err = abs(full - half)

@@ -28,7 +28,8 @@ The sigma regime is decided once: OperatorParams.diffusivity is the only
 place in src/mixwave that orders sigma against 1 (by <, <=, > or >=).
 
 scipy is a test dependency only: no module of src/mixwave loads it, checked
-in a fresh interpreter.
+in a fresh interpreter.  Nor does importing what perfbench/workloads.py
+imports load a process pool.
 """
 import ast
 import os
@@ -310,17 +311,46 @@ def test_no_unused_imports_in_tests_or_perfbench():
     assert unused_imports() == []
 
 
-def test_no_module_loads_scipy():
-    modules = ["mixwave.cli"] + [f"mixwave.{path.stem}" for path in sorted(PACKAGE.glob("*.py"))
-                                 if path.stem != "__init__"]
+def import_in_fresh_interpreter(modules, forbidden):
+    """Import modules in turn in a fresh interpreter, which exits 1 naming the
+    first one after which a forbidden module, or a submodule of one, is loaded."""
     script = ("import importlib, sys\n"
-              "for name in sys.argv[1:]:\n"
+              "forbidden = sys.argv[1].split(',')\n"
+              "for name in sys.argv[2:]:\n"
               "    importlib.import_module(name)\n"
-              "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+              "    loaded = sorted(m for m in sys.modules\n"
+              "                    if any(m == f or m.startswith(f + '.') for f in forbidden))\n"
               "    if loaded:\n"
               "        sys.exit(f'{name} loaded {loaded}')\n")
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    proc = subprocess.run([sys.executable, "-c", script, *modules], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script, ",".join(forbidden), *modules],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def benchmark_imports():
+    """The mixwave modules that perfbench/workloads.py imports."""
+    names = []
+    for node in ast.walk(ast.parse((PERFBENCH / "workloads.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "mixwave":
+            names += [f"mixwave.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mixwave."):
+            names.append(node.module)
+    return names
+
+
+def test_no_module_loads_scipy():
+    modules = ["mixwave.cli"] + [f"mixwave.{path.stem}" for path in sorted(PACKAGE.glob("*.py"))
+                                 if path.stem != "__init__"]
+    proc = import_in_fresh_interpreter(modules, ["scipy"])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmarked_modules_load_no_process_pool():
+    # lifespan_sweep imports its process pool when called: the benchmark's
+    # set-up time counts every import, and no workload runs a sweep
+    modules = benchmark_imports()
+    assert {"mixwave.blowup", "mixwave.evolve", "mixwave.experiments",
+            "mixwave.radial"} <= set(modules)
+    proc = import_in_fresh_interpreter(modules, ["multiprocessing", "concurrent.futures.process"])
     assert proc.returncode == 0, proc.stderr

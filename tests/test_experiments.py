@@ -1,14 +1,20 @@
 import importlib.util
 import operator
+import os
+import warnings
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mixwave.experiments import (
     GATES,
     ExperimentInvalid,
+    _map_members,
     decay_experiment,
     gate,
+    lifespan_member,
     lifespan_sweep,
     profile_experiment,
 )
@@ -17,6 +23,7 @@ from mixwave.radial import gaussian_datum, profile_error
 from mixwave.torus import Grid
 
 P = OperatorParams(1.0, 1.0, 0.5, 1)
+P15 = OperatorParams(1.0, 1.0, 1.5, 1)
 CRITERIA = Path(__file__).resolve().parent.parent / "perfbench" / "criteria.py"
 
 
@@ -184,6 +191,26 @@ class TestLifespanSweep:
         assert rep.target == -1.0
         assert any("p >= 2" in n for n in rep.hypothesis_notes)
 
+    def test_parallel_records_equal_serial_members(self):
+        # the members run in worker processes and come back in eps order
+        grid = Grid(1, 512, 100.0)
+        rep = lifespan_sweep(P, 1.5, [3.0, 0.3], grid)
+        serial = [lifespan_member(P, 1.5, e, grid, 0.05, 4000.0, 1e6, False)
+                  for e in (0.3, 3.0)]
+        assert rep.records == serial
+
+    def test_worker_warning_meets_the_callers_filters(self):
+        # the suite's filters make every warning an error, in the workers too
+        raise_in_worker = partial(warnings.warn, "raised in a worker")
+        with pytest.raises(RuntimeWarning, match="raised in a worker"):
+            _map_members(raise_in_worker, [RuntimeWarning])
+        with pytest.warns(UserWarning, match="raised in a worker"):
+            assert _map_members(raise_in_worker, [UserWarning, UserWarning]) == [None, None]
+
+    def test_killed_worker_exits_as_memory_error(self):
+        with pytest.raises(MemoryError, match="lifespan sweep: a worker process ended"):
+            _map_members(os._exit, [1])
+
     def test_no_blowup_everywhere_is_invalid(self):
         grid = Grid(1, 256, 30.0)
         with pytest.raises(ExperimentInvalid):
@@ -200,6 +227,32 @@ class TestLifespanSweep:
         assert "resolution" in flagged[0].flagged
         assert len(usable) == 2
         assert rep.slope is not None
+
+
+class TestClassicalDiffusion:
+    """The classical branch, sigma = 1.5 > 1: a|xi|^2 dominates at low
+    frequency and sigma_min = 1.  The gates are those that criteria 6 and 7
+    apply at sigma = 1/2."""
+
+    def test_profile(self):
+        # p = 4 above p_crit = 1 + 2 sigma_min/n = 3; L2 decays as t^(-1/4)
+        rep = profile_experiment(P15, p=4.0, eps=0.01, horizon=1e3,
+                                 grid=Grid(1, 1024, 200.0))
+        assert rep.l2_fit.target == -0.25
+        assert gate("l2_slope", rep.l2_fit.slope, rep.l2_fit.target)[0]
+        assert gate("profile_ratio", rep.ratio, 1.0)[0]
+        assert gate("duhamel_residual", rep.duhamel_residual)[0]
+        e10 = min(e for t, e in zip(rep.times, rep.scaled_error) if 10.0 <= t < 12.0)
+        assert gate("profile_collapse", rep.scaled_error[-1] / e10)[0]
+
+    def test_lifespan(self):
+        # sub-critical p = 1.5: T ~ eps^(-2/3); the horizon (L/4)^2/a is long
+        # enough at L = 256 for the small data that reach the law
+        eps_list = list(np.geomspace(0.0004, 0.004, 6))
+        rep = lifespan_sweep(P15, 1.5, eps_list, Grid(1, 2048, 256.0), dt_max=0.05)
+        assert all(r.t_blowup is not None for r in rep.records)
+        assert rep.target == pytest.approx(-2.0 / 3.0)
+        assert gate("lifespan_slope", rep.slope, rep.target)[0]
 
 
 def test_fit_stability_under_grid_and_step_refinement():

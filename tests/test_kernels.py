@@ -7,7 +7,7 @@ from scipy.optimize import bisect
 
 from mixwave.kernels import (
     _DD_BAND,
-    _PHI1_COEFFS,
+    _LADDER_COEFFS,
     _PHI_SERIES_RADIUS,
     _PSI_COEFFS,
     KernelValues,
@@ -184,6 +184,12 @@ class TestKernelValues:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=cause):
             kernel_eval(P, t, np.asarray(r, float))
 
+    def test_symbol_overflow_at_t0_names_the_radius(self):
+        # m(10) = 10^400 is inf, and w = -inf * 0 is NaN at t = 0
+        with pytest.raises(ValueError,
+                           match=r"overflows to -inf at radius r = 10 \(sigma = 200\)"):
+            kernel_eval(OperatorParams(1.0, 1.0, 200.0, 1), 0.0, [1.0, 10.0])
+
 
 class TestProfileHat:
     def test_direct_substitution(self):
@@ -305,7 +311,7 @@ class TestConjugatePairReuse:
 def _horner_unbuffered(z):
     p1 = np.zeros_like(z)
     ps = np.zeros_like(z)
-    for c1, cp in zip(_PHI1_COEFFS, _PSI_COEFFS):
+    for c1, cp in zip(_LADDER_COEFFS[0], _PSI_COEFFS):
         p1 = p1 * z + c1
         ps = ps * z + cp
     return p1, ps
