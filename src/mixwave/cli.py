@@ -35,7 +35,7 @@ from .experiments import (
     profile_experiment,
 )
 from .kernels import kernel_eval
-from .params import OperatorParams, exponents, symbol, theorem_hypotheses
+from .params import OperatorParams, symbol, theorem_hypotheses
 from .radial import QuadratureError
 from .torus import Grid, read_snapshot, write_snapshot
 
@@ -214,9 +214,12 @@ def _floats(csv_text: str) -> list[float]:
     return [float(tok) for tok in csv_text.split(",") if tok.strip()]
 
 
-def _banner(params: OperatorParams, p: float) -> None:
-    for note in theorem_hypotheses(params, p):
+def _banner(params: OperatorParams, p: float) -> list[str]:
+    """Print the hypotheses that (params, p) violates and return them."""
+    notes = theorem_hypotheses(params, p)
+    for note in notes:
         print(f"[outside theorem hypotheses] {note}")
+    return notes
 
 
 def _grid(cfg) -> Grid:
@@ -228,19 +231,21 @@ def _grid(cfg) -> Grid:
 # its line and returns (summary payload, passed); main writes the summary.
 
 def cmd_exponents(cfg, params, out) -> tuple[dict, bool]:
+    rate = params.lifespan_rate(cfg["p"])
+    critical = params.p_regime(cfg["p"]) == "critical"
+    life = "undefined" if rate is None else f"{rate!r}"
     results = []
     for s in _floats(cfg["s_list"]):
-        rep = exponents(params, s, cfg["p"])
+        decay = params.decay_rate(s)
         results.append({
             "s": s,
-            "decay_exp": rep.decay_exp,
+            "decay_exp": decay,
             "alpha_min": params.alpha_min,
             "p_crit": params.p_crit,
-            "lifespan_exp": rep.lifespan_exp,
-            "is_critical": rep.is_critical,
+            "lifespan_exp": rate,
+            "is_critical": critical,
         })
-        life = "undefined" if rep.lifespan_exp is None else f"{rep.lifespan_exp!r}"
-        print(f"s={s}: p_crit={params.p_crit!r} decay_exp={rep.decay_exp!r} "
+        print(f"s={s}: p_crit={params.p_crit!r} decay_exp={decay!r} "
               f"alpha_min={params.alpha_min!r} lifespan_exp={life}")
     return {"exponents": results}, True
 
@@ -344,7 +349,7 @@ def cmd_solve(cfg, params, out) -> tuple[dict, bool]:
 
 
 def cmd_lifespan(cfg, params, out) -> tuple[dict, bool]:
-    _banner(params, cfg["p"])
+    notes = _banner(params, cfg["p"])
     eps_list = _floats(cfg["eps_list"])
     rep = lifespan_sweep(params, cfg["p"], eps_list, _grid(cfg), dt_max=cfg["dt_max"],
                          t_cap=cfg["t_end"], threshold=cfg["threshold"])
@@ -357,13 +362,13 @@ def cmd_lifespan(cfg, params, out) -> tuple[dict, bool]:
                 "critical_fit_intercept": rep.critical_fit.intercept if rep.critical_fit else None,
                 "linear_residual": rep.linear_residual,
                 "pass": True,      # exploratory: no gate in the critical case
-                "hypothesis_notes": rep.hypothesis_notes}, True
+                "hypothesis_notes": notes}, True
     passed, margin = gate("lifespan_slope", rep.slope, rep.target)
     print(f"lifespan slope {rep.slope:.4f} target {rep.target} -> "
           f"{'pass' if passed else 'FAIL'}")
     return {"slope": rep.slope, "target": rep.target, "pass": passed,
             "tolerance": GATES["lifespan_slope"][1], "margins": {"lifespan_slope": margin},
-            "hypothesis_notes": rep.hypothesis_notes}, passed
+            "hypothesis_notes": notes}, passed
 
 
 def _load_archive(cfg, params) -> SolutionArchive:

@@ -7,7 +7,7 @@ import math
 import operator
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -22,7 +22,7 @@ from .evolve import (
     run,
 )
 from .kernels import kernel_eval, profile_hat
-from .params import OperatorParams, exponents, theorem_hypotheses
+from .params import OperatorParams
 from .radial import PowerLawFit, fit_power_law, gaussian_datum, hs_norm, power_law_slope
 from .torus import Grid, spectral_norm, to_spectral
 
@@ -157,7 +157,7 @@ def profile_experiment(params: OperatorParams, p: float, eps: float, horizon: fl
                 t_end = ts[-1]
                 tail = math.exp(fit.intercept) * t_end ** (fit.slope + 1.0) / (
                     -(fit.slope + 1.0))
-    theta = outcome.mass.initial_mass + outcome.mass.nonlinear_mass + tail
+    theta = float(outcome.mass.initial_mass + outcome.mass.nonlinear_mass + tail)
 
     times: list[float] = []
     scaled: list[float] = []
@@ -177,7 +177,7 @@ def profile_experiment(params: OperatorParams, p: float, eps: float, horizon: fl
         if t == arc.times[-1]:
             un = spectral_norm(g, chat, 0.0)
             gn = spectral_norm(g, ghat, 0.0)
-            ratio = un / (theta * gn) if theta * gn != 0 else float("nan")
+            ratio = float(un / (theta * gn)) if theta * gn != 0 else float("nan")
 
     extra = None
     pts = [(t, v) for t, v in zip(times, scaled) if v > 0]
@@ -215,19 +215,18 @@ class LifespanReport:
     target: float | None
     critical_fit: PowerLawFit | None   # log T vs eps^-(p-1), critical case
     linear_residual: float | None
-    hypothesis_notes: list[str] = field(default_factory=list)
 
 
 def lifespan_member(params: OperatorParams, p: float, eps: float, grid: Grid,
-                    dt_max: float, t_cap: float, threshold: float,
-                    critical: bool) -> LifespanRecord:
+                    dt_max: float, t_cap: float, threshold: float) -> LifespanRecord:
     """The blow-up record of one lifespan_sweep run at data size eps."""
     state, u0, u1 = initial_state(grid, eps=eps)
     # critical-case divergences crawl once the spike outruns the grid, so
     # the exploratory sweep stops at the configured threshold without
     # pushing on to the 1e8 band edge
     ctrl = StepControl(t_end=min(t_cap, resolution_horizon(params, grid.L)), dt_max=dt_max,
-                       blowup_threshold=threshold, track_band=not critical,
+                       blowup_threshold=threshold,
+                       track_band=params.p_regime(p) != "critical",
                        record_t0=1.0, record_ratio=1.3)
     out = run(params, state, ctrl, p=p, eps=eps, u0=u0, u1=u1)
     if out.status is not RunStatus.BLEW_UP:
@@ -288,16 +287,16 @@ def lifespan_sweep(params: OperatorParams, p: float, eps_list, grid: Grid,
         raise ValueError("eps_list must contain at least two values")
     if eps[-1] / eps[0] < 10.0 * (1 - 1e-9):
         raise ValueError("eps_list must span at least one decade")
-    rep = exponents(params, 0.0, p)
-    if p > params.p_crit and not rep.is_critical:
+    regime = params.p_regime(p)
+    if regime == "super-critical":
         raise ValueError(f"lifespan sweep needs p <= p_crit = {params.p_crit}")
 
     member = partial(lifespan_member, params, p, grid=grid, dt_max=dt_max, t_cap=t_cap,
-                     threshold=threshold, critical=rep.is_critical)
+                     threshold=threshold)
     records = _map_members(member, eps)
 
     usable = [(r.epsilon, r.t_blowup) for r in records if r.t_blowup is not None]
-    if rep.is_critical:
+    if regime == "critical":
         xs = [e ** (-(p - 1.0)) for e, _ in usable]
         ys = [math.log(t) for _, t in usable]
         if len(usable) >= 3:
@@ -306,9 +305,7 @@ def lifespan_sweep(params: OperatorParams, p: float, eps_list, grid: Grid,
             crit = PowerLawFit(float(slope), float(intercept))
         else:
             crit, resid = None, None
-        return LifespanReport(records, None, None, crit, resid,
-                              theorem_hypotheses(params, p))
+        return LifespanReport(records, None, None, crit, resid)
     if len(usable) < 2:
         raise ExperimentInvalid("fewer than two usable blow-up records")
-    return LifespanReport(records, power_law_slope(usable), rep.lifespan_exp, None, None,
-                          theorem_hypotheses(params, p))
+    return LifespanReport(records, power_law_slope(usable), params.lifespan_rate(p), None, None)

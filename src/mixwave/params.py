@@ -62,6 +62,24 @@ class OperatorParams:
         """Critical nonlinearity power separating blow-up from global existence."""
         return 1.0 + 2.0 * self.sigma_min / self.n
 
+    def p_regime(self, p: float) -> str:
+        """"critical" for p within 1e-12 relative of p_crit, which belongs to
+        the blow-up side, else "sub-critical" or "super-critical".  The one
+        place the package decides the p regime."""
+        if not p > 1:
+            raise ValueError(f"p must exceed 1, got {p}")
+        if math.isclose(p, self.p_crit, rel_tol=1e-12):
+            return "critical"
+        return "sub-critical" if p < self.p_crit else "super-critical"
+
+    def lifespan_rate(self, p: float) -> float | None:
+        """Exponent of the blow-up time T ~ eps^rate for sub-critical p,
+        -2 sigma_min (p-1)/(2 sigma_min - n (p-1)); None for any other p."""
+        if self.p_regime(p) != "sub-critical":
+            return None
+        smin = self.sigma_min
+        return -2.0 * smin * (p - 1.0) / (2.0 * smin - self.n * (p - 1.0))
+
     @property
     def alpha_min(self) -> float:
         """Extra decay order of the kernel-vs-profile error at low frequency:
@@ -76,40 +94,6 @@ def symbol(params: OperatorParams, r):
     if (r < 0).any():
         raise ValueError("radial frequency must be nonnegative")
     return params.a * r**2 + params.b * r ** (2.0 * params.sigma)
-
-
-@dataclass(frozen=True)
-class ExponentReport:
-    """Closed-form exponents for one (s, p) scenario."""
-
-    decay_exp: float        # Sobolev-norm decay rate, params.decay_rate(s)
-    lifespan_exp: float | None  # defined only for p < p_crit
-    is_critical: bool
-
-
-def exponents(params: OperatorParams, s: float, p: float) -> ExponentReport:
-    """Decay and lifespan exponents for regularity s and power p; p_crit and
-    alpha_min depend on the params alone and are read from them.
-
-    The lifespan exponent -2*sigma_min*(p-1)/(2*sigma_min - n*(p-1)) is only
-    defined below the critical power; at or above it the field is None.
-    """
-    if not 0 <= s <= params.sigma_min:
-        raise ValueError(f"s must lie in [0, sigma_min]={params.sigma_min}, got {s}")
-    if not p > 1:
-        raise ValueError(f"p must exceed 1, got {p}")
-    smin = params.sigma_min
-    pc = params.p_crit
-    critical = math.isclose(p, pc, rel_tol=1e-12)
-    if p < pc and not critical:
-        lifespan = -2.0 * smin * (p - 1.0) / (2.0 * smin - params.n * (p - 1.0))
-    else:
-        lifespan = None
-    return ExponentReport(
-        decay_exp=params.decay_rate(s),
-        lifespan_exp=lifespan,
-        is_critical=critical,
-    )
 
 
 def theorem_hypotheses(params: OperatorParams, p: float) -> list[str]:
@@ -127,9 +111,12 @@ def theorem_hypotheses(params: OperatorParams, p: float) -> list[str]:
         issues.append(
             f"p = {p} > n/(n - 2 sigma_min) = {params.n / (params.n - 2 * smin)}"
         )
-    if p <= params.p_crit:
+    regime = params.p_regime(p)
+    if regime != "super-critical":
+        # a critical p off p_crit may lie on either side of it
+        relation = "~" if regime == "critical" and p != params.p_crit else "<="
         issues.append(
-            f"p = {p} <= p_crit = {params.p_crit} (blow-up range; "
+            f"p = {p} {relation} p_crit = {params.p_crit} (blow-up range; "
             "global existence not expected)"
         )
     return issues

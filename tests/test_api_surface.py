@@ -24,8 +24,9 @@ members that only the tests read, each with its reason.
 
 No module under tests/ or perfbench/ imports a name it never references.
 
-The sigma regime is decided once: OperatorParams.diffusivity is the only
-place in src/mixwave that orders sigma against 1 (by <, <=, > or >=).
+Each regime is decided once: OperatorParams.diffusivity is the only place
+in src/mixwave that compares sigma with 1, and OperatorParams.p_regime the
+only place that compares p with p_crit (by <, <=, >, >= or math.isclose).
 
 scipy is a test dependency only: no module of src/mixwave loads it, checked
 in a fresh interpreter.  Nor does importing what perfbench/workloads.py
@@ -246,43 +247,58 @@ def unused_imports():
     return sorted(unused)
 
 
-def _is_sigma(node):
-    """sigma, obj.sigma or cfg["sigma"]."""
-    return (getattr(node, "id", None) == "sigma" or getattr(node, "attr", None) == "sigma"
+def _is(node, what):
+    """node is the number `what`, or for a string `what` names it: what,
+    obj.what or cfg["what"]."""
+    if not isinstance(what, str):
+        return (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                and node.value == what)
+    return (getattr(node, "id", None) == what or getattr(node, "attr", None) == what
             or (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
-                and node.slice.value == "sigma"))
+                and node.slice.value == what))
 
 
-def _is_one(node):
-    return (isinstance(node, ast.Constant) and type(node.value) in (int, float)
-            and node.value == 1)
-
-
-def sigma_regime_decisions():
-    """Sorted 'module.function' of every ordering comparison of sigma with 1
-    in src/mixwave, one entry per comparison, innermost function named."""
+def regime_decisions(name, bound):
+    """Sorted 'module.function' of the functions in src/mixwave that compare
+    `name` with `bound`, by <, <=, >, >= or math.isclose; the innermost
+    function is named.  A name a module assigns `bound` to stands for it."""
     ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
-    found = []
+    found = set()
+
+    def is_bound(node):
+        return _is(node, bound) or getattr(node, "id", None) in aliases
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}"
+        pairs = []
         if isinstance(node, ast.Compare):
             sides = [node.left, *node.comparators]
-            for op, lhs, rhs in zip(node.ops, sides, sides[1:]):
-                if isinstance(op, ordering) and (
-                        (_is_sigma(lhs) and _is_one(rhs)) or (_is_one(lhs) and _is_sigma(rhs))):
-                    found.append(where)
+            pairs = [(lhs, rhs) for op, lhs, rhs in zip(node.ops, sides, sides[1:])
+                     if isinstance(op, ordering)]
+        elif isinstance(node, ast.Call) and _is(node.func, "isclose"):
+            pairs = list(zip(node.args[:1], node.args[1:2]))
+        if any((_is(lhs, name) and is_bound(rhs)) or (is_bound(lhs) and _is(rhs, name))
+               for lhs, rhs in pairs):
+            found.add(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     for path in sorted(PACKAGE.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem)
+        tree = ast.parse(path.read_text())
+        aliases = {target.id for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign) and _is(node.value, bound)
+                   for target in node.targets if isinstance(target, ast.Name)}
+        visit(tree, path.stem)
     return sorted(found)
 
 
 def test_sigma_regime_is_decided_only_by_diffusivity():
-    assert sigma_regime_decisions() == ["params.OperatorParams.diffusivity"]
+    assert regime_decisions("sigma", 1) == ["params.OperatorParams.diffusivity"]
+
+
+def test_p_regime_is_decided_only_by_p_regime():
+    assert regime_decisions("p", "p_crit") == ["params.OperatorParams.p_regime"]
 
 
 def test_every_public_name_is_used_outside_the_tests():

@@ -13,6 +13,7 @@ from hypothesis import strategies as hst
 from mixwave import cli, io
 from mixwave.cli import ConfigError, main, read_config_file, resolve_config
 from mixwave.experiments import GATES, LifespanRecord, LifespanReport, gate
+from mixwave.params import OperatorParams, theorem_hypotheses
 from mixwave.torus import Grid, read_snapshot, write_snapshot
 
 
@@ -511,6 +512,23 @@ class TestCommands:
                         "0.125,nan,nan,nan,no blow-up"]
         assert not list(out.glob("*.dat"))
 
+    @pytest.mark.parametrize("sigma, p", [(0.5, 1.5), (0.5, 2.0), (0.18, 1.36), (1.5, 1.5)])
+    def test_lifespan_json_notes_are_the_banner(self, tmp_path, monkeypatch, capsys, sigma, p):
+        # p = 1.36 is critical at sigma = 0.18 but lies above the computed
+        # p_crit = 1.3599999999999999
+        report = LifespanReport([LifespanRecord(0.5, 1.0, (1.0, 1.0))], -1.0, -1.0, None, None)
+        monkeypatch.setattr(cli, "lifespan_sweep", lambda *args, **kwargs: report)
+        out = tmp_path / "l"
+        code = run_cli(["lifespan-sweep", "--a", "1", "--b", "1", "--sigma", str(sigma),
+                        "--n", "1", "--p", str(p), "--eps-list", "0.5,5", "--out", str(out)])
+        assert code == 0
+        notes = theorem_hypotheses(OperatorParams(1.0, 1.0, sigma, 1), p)
+        assert any("blow-up range" in note for note in notes)
+        payload = json.loads((out / "lifespan.json").read_text())
+        assert payload["hypothesis_notes"] == notes
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[:len(notes)] == [f"[outside theorem hypotheses] {n}" for n in notes]
+
     def test_lifespan_critical_case_is_exploratory(self, tmp_path, capsys):
         # p = p_crit = 2: no slope gate, and two records are too few for the
         # exploratory fit of log T against eps^-(p-1)
@@ -604,6 +622,19 @@ class TestCommands:
         assert gate("profile_ratio", payload["terminal_ratio"], 1.0)[0]
         assert (out / "profile_error.csv").exists()
         assert not list(out.glob("*.dat"))
+
+    def test_profile_prints_plain_floats(self, tmp_path, capsys):
+        # the nonlinear run extrapolates a mass tail from numpy arrays
+        out = tmp_path / "p"
+        code = run_cli(["profile", "--a", "1", "--b", "1", "--sigma", "0.5",
+                        "--n", "1", "--p", "3.0", "--eps", "0.1",
+                        "--grid-n", "512", "--box-l", "50", "--t-end", "50.0",
+                        "--out", str(out)])
+        assert code == 0
+        payload = json.loads((out / "profile.json").read_text())
+        assert payload["tail_correction"] > 0
+        assert capsys.readouterr().out == (f"theta={payload['theta']!r} "
+                                           f"ratio={payload['terminal_ratio']!r} -> pass\n")
 
     def test_fraclap_check_smoke(self, tmp_path):
         out = tmp_path / "f"

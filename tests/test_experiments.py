@@ -189,13 +189,12 @@ class TestLifespanSweep:
             lo, hi = r.threshold_band
             assert lo <= r.t_blowup <= hi
         assert rep.target == -1.0
-        assert any("p >= 2" in n for n in rep.hypothesis_notes)
 
     def test_parallel_records_equal_serial_members(self):
         # the members run in worker processes and come back in eps order
         grid = Grid(1, 512, 100.0)
         rep = lifespan_sweep(P, 1.5, [3.0, 0.3], grid)
-        serial = [lifespan_member(P, 1.5, e, grid, 0.05, 4000.0, 1e6, False)
+        serial = [lifespan_member(P, 1.5, e, grid, 0.05, 4000.0, 1e6)
                   for e in (0.3, 3.0)]
         assert rep.records == serial
 
@@ -230,9 +229,9 @@ class TestLifespanSweep:
 
 
 class TestClassicalDiffusion:
-    """The classical branch, sigma = 1.5 > 1: a|xi|^2 dominates at low
-    frequency and sigma_min = 1.  The gates are those that criteria 6 and 7
-    apply at sigma = 1/2."""
+    """The classical branch, sigma > 1 (1.5, and 3 for the lifespan law):
+    a|xi|^2 dominates at low frequency and sigma_min = 1.  The gates are those
+    that criteria 6 and 7 apply at sigma = 1/2."""
 
     def test_profile(self):
         # p = 4 above p_crit = 1 + 2 sigma_min/n = 3; L2 decays as t^(-1/4)
@@ -245,13 +244,16 @@ class TestClassicalDiffusion:
         e10 = min(e for t, e in zip(rep.times, rep.scaled_error) if 10.0 <= t < 12.0)
         assert gate("profile_collapse", rep.scaled_error[-1] / e10)[0]
 
-    def test_lifespan(self):
-        # sub-critical p = 1.5: T ~ eps^(-2/3); the horizon (L/4)^2/a is long
+    @pytest.mark.parametrize("sigma", [1.5, 3.0])
+    def test_lifespan(self, sigma):
+        # sub-critical p = 1.5: T ~ eps^(-2/3) for every sigma > 1, since the
+        # law reads sigma through min{1, sigma}; the horizon (L/4)^2/a is long
         # enough at L = 256 for the small data that reach the law
+        params = OperatorParams(1.0, 1.0, sigma, 1)
         eps_list = list(np.geomspace(0.0004, 0.004, 6))
-        rep = lifespan_sweep(P15, 1.5, eps_list, Grid(1, 2048, 256.0), dt_max=0.05)
+        rep = lifespan_sweep(params, 1.5, eps_list, Grid(1, 2048, 256.0), dt_max=0.05)
         assert all(r.t_blowup is not None for r in rep.records)
-        assert rep.target == pytest.approx(-2.0 / 3.0)
+        assert rep.target == P15.lifespan_rate(1.5) == pytest.approx(-2.0 / 3.0)
         assert gate("lifespan_slope", rep.slope, rep.target)[0]
 
 

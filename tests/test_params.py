@@ -1,9 +1,12 @@
+from fractions import Fraction
+from functools import partial
+
 import numpy as np
 import pytest
 
 from mixwave.evolve import resolution_horizon
 from mixwave.kernels import profile_hat
-from mixwave.params import OperatorParams, exponents, symbol, theorem_hypotheses
+from mixwave.params import OperatorParams, symbol, theorem_hypotheses
 
 
 def test_valid_params_and_derived():
@@ -45,21 +48,22 @@ def test_symbol_monotone_and_vectorized():
         symbol(p, -1.0)
 
 
-def test_exponent_report_values():
+def test_exponent_values():
     p = OperatorParams(1.0, 1.0, 0.5, 1)
-    rep = exponents(p, s=0.0, p=1.5)
-    assert rep.decay_exp == pytest.approx(0.5)
+    assert p.decay_rate(0.0) == pytest.approx(0.5)
+    assert p.decay_rate(0.5) == pytest.approx(1.0)
     assert p.alpha_min == pytest.approx(1.0)  # min(2-2*0.5, 2*0.5)
-    assert rep.lifespan_exp == pytest.approx(-1.0)
-    assert not rep.is_critical
-
-    crit = exponents(p, s=0.0, p=2.0)
-    assert crit.is_critical
-    assert crit.lifespan_exp is None
-
-    above = exponents(p, s=0.5, p=3.0)
-    assert above.lifespan_exp is None
-    assert above.decay_exp == pytest.approx(1.0)
+    assert p.p_regime(1.5) == "sub-critical"
+    assert p.lifespan_rate(1.5) == pytest.approx(-1.0)
+    assert p.p_regime(2.0) == "critical"
+    assert p.lifespan_rate(2.0) is None
+    assert p.p_regime(3.0) == "super-critical"
+    assert p.lifespan_rate(3.0) is None
+    # the critical band is 1e-12 relative wide on both sides of p_crit
+    assert p.p_regime(2.0 * (1 + 0.9e-12)) == "critical"
+    assert p.p_regime(2.0 * (1 - 0.9e-12)) == "critical"
+    assert p.p_regime(2.0 * (1 + 1.1e-12)) == "super-critical"
+    assert p.p_regime(2.0 * (1 - 1.1e-12)) == "sub-critical"
 
 
 def test_alpha_min_branches():
@@ -100,12 +104,26 @@ def test_regime_forms_match_the_two_branch_forms(a, b, sigma):
     assert [resolution_horizon(params, L) for L in boxes] == horizons
 
 
-def test_exponents_domain_checks():
+def test_p_regime_domain_check():
     p = OperatorParams(1.0, 1.0, 0.5, 1)
-    with pytest.raises(ValueError):
-        exponents(p, s=0.6, p=3.0)
-    with pytest.raises(ValueError):
-        exponents(p, s=0.0, p=1.0)
+    for method in (p.p_regime, p.lifespan_rate, partial(theorem_hypotheses, p)):
+        with pytest.raises(ValueError, match="p must exceed 1"):
+            method(1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_typed_p_crit_is_critical(n):
+    # p typed as the decimal of 1 + 2 sigma/n lies within an ulp or so of the
+    # computed p_crit, on either side; every rule takes it as critical
+    for k in range(1, 100):
+        params = OperatorParams(1.0, 1.0, k / 100, n)
+        p = float(Fraction(100 * n + 2 * k, 100 * n))
+        assert params.p_regime(p) == "critical", (k, n)
+        assert params.lifespan_rate(p) is None
+        blowup = [note for note in theorem_hypotheses(params, p) if "blow-up range" in note]
+        assert len(blowup) == 1, (k, n)
+        relation = "<=" if p == params.p_crit else "~"
+        assert blowup[0].startswith(f"p = {p} {relation} p_crit = {params.p_crit} ")
 
 
 def test_theorem_hypotheses_flags():
@@ -117,3 +135,8 @@ def test_theorem_hypotheses_flags():
     # n = 2 > 2 sigma_min: p = 3 exceeds n/(n - 2 sigma_min) = 2
     notes = theorem_hypotheses(OperatorParams(1.0, 1.0, 0.5, 2), 3.0)
     assert notes == ["p = 3.0 > n/(n - 2 sigma_min) = 2.0"]
+    # a critical p states "<=" only where it equals p_crit
+    assert theorem_hypotheses(p, 2.0) == [
+        "p = 2.0 <= p_crit = 2.0 (blow-up range; global existence not expected)"]
+    assert theorem_hypotheses(OperatorParams(1.0, 1.0, 0.18, 1), 1.36)[-1] == (
+        "p = 1.36 ~ p_crit = 1.3599999999999999 (blow-up range; global existence not expected)")
