@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import SolutionArchive
-from .params import OperatorParams
+from .params import P_RULES, OperatorParams, check_ranges
 from .radial import power_law_slope
 from .torus import Grid, to_physical, to_spectral
 
@@ -77,8 +77,7 @@ def eta_condition_value(eta: Eta, p: float, samples: int = 20001) -> float:
 def make_eta(p: float) -> Eta:
     """Concrete cutoff for this p > 1, with q = ceil(2p') and the log10 of
     its measured condition constant."""
-    if not p > 1:
-        raise ValueError("p must exceed 1")
+    check_ranges({"p": p}, P_RULES)
     q = int(math.ceil(2.0 * p / (p - 1.0)))
     return Eta(q=q, condition_log10=eta_condition_value(Eta(q, float("nan")), p))
 

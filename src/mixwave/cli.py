@@ -31,16 +31,16 @@ from .experiments import (
     ExperimentInvalid,
     decay_experiment,
     gate,
+    lifespan_fault,
     lifespan_sweep,
     profile_experiment,
 )
 from .kernels import kernel_eval
-from .params import OperatorParams, symbol, theorem_hypotheses
+from .params import P_RULES, POSITIVE, OperatorParams, symbol, theorem_hypotheses
 from .radial import QuadratureError
 from .torus import Grid, read_snapshot, write_snapshot
 
-# a range rule: a test and the words that finish "must ..."
-_POSITIVE = (lambda v: v > 0, "be positive")
+# a range rule (params.check_ranges) that only the CLI states
 _NONNEGATIVE = (lambda v: v >= 0, "be nonnegative")
 
 # key: (type, default, range rule, help); the keys without a default are
@@ -49,30 +49,27 @@ _NONNEGATIVE = (lambda v: v >= 0, "be nonnegative")
 # finite and distinct.
 CONFIG_KEYS = {
     "command": (str, None, None, "the command to run"),
-    "a": (float, None, _POSITIVE, "local diffusivity"),
-    "b": (float, None, _POSITIVE, "nonlocal diffusivity"),
-    "sigma": (float, None, _POSITIVE, "fractional order, != 1"),
-    "n": (int, None, (lambda v: v >= 1, "be a positive integer"),
-          "spatial dimension (1 or 2 for grids)"),
-    "p": (float, 3.0, (lambda v: v > 1, "exceed 1"), "nonlinearity power"),
+    "a": (float, None, OperatorParams.RULES["a"], "local diffusivity"),
+    "b": (float, None, OperatorParams.RULES["b"], "nonlocal diffusivity"),
+    "sigma": (float, None, OperatorParams.RULES["sigma"], "fractional order"),
+    "n": (int, None, OperatorParams.RULES["n"], "spatial dimension (1 or 2 for grids)"),
+    "p": (float, 3.0, P_RULES["p"], "nonlinearity power"),
     "eps": (float, 0.01, None, "data amplitude"),
-    "eps_list": (list, "", _POSITIVE, "comma-separated amplitudes for sweeps"),
+    "eps_list": (list, "", POSITIVE, "comma-separated amplitudes for sweeps"),
     "s_list": (list, "0", _NONNEGATIVE, "comma-separated Sobolev orders"),
-    "grid_n": (int, 1024, (lambda v: v >= 64 and not v & (v - 1), "be a power of two >= 64"),
-               "grid points per dimension"),
-    "box_l": (float, 100.0, _POSITIVE, "box half-length"),
-    "t_end": (float, 100.0, _POSITIVE, "time horizon"),
-    "dt_max": (float, 0.05, _POSITIVE, "largest time step"),
-    "safety": (float, 0.1, (lambda v: 0 < v <= 1, "be in (0, 1]"),
-               "adaptive step safety factor"),
-    "threshold": (float, 1e6, (lambda v: v >= 1e3, "be >= 1e3"), "blow-up detection level"),
-    "width": (float, 1.0, _POSITIVE, "Gaussian datum width"),
+    "grid_n": (int, 1024, Grid.RULES["N"], "grid points per dimension"),
+    "box_l": (float, 100.0, Grid.RULES["L"], "box half-length"),
+    "t_end": (float, 100.0, StepControl.RULES["t_end"], "time horizon"),
+    "dt_max": (float, 0.05, StepControl.RULES["dt_max"], "largest time step"),
+    "safety": (float, 0.1, StepControl.RULES["safety"], "adaptive step safety factor"),
+    "threshold": (float, 1e6, StepControl.RULES["blowup_threshold"], "blow-up detection level"),
+    "width": (float, 1.0, POSITIVE, "Gaussian datum width"),
     "linear": (bool, False, None, "disable the nonlinearity"),
     "snapshots": (bool, False, None, "write snapshot dumps (solve)"),
     "snapshots_dir": (str, "", None, "read stored snapshots (blowup-functional)"),
-    "r_list": (list, "", _POSITIVE, "comma-separated radii for the functional sweep"),
-    "k_scale": (float, 1.0, _POSITIVE, "spatial stretch K of the weight"),
-    "l_eval": (float, 1280.0, _POSITIVE, "evaluation window for fraclap-check"),
+    "r_list": (list, "", POSITIVE, "comma-separated radii for the functional sweep"),
+    "k_scale": (float, 1.0, POSITIVE, "spatial stretch K of the weight"),
+    "l_eval": (float, 1280.0, POSITIVE, "evaluation window for fraclap-check"),
     "seed": (int, 0, _NONNEGATIVE, "seed of the random samples (kernels)"),
     "out": (str, "out", None, "output directory"),
 }
@@ -184,21 +181,23 @@ def resolve_config(argv) -> dict:
 
 def validate_ranges(cfg: dict) -> None:
     """The range rules that no single row of CONFIG_KEYS can state."""
-    if cfg["sigma"] == 1:
-        raise ConfigError("sigma excluded: the fractional order 1 is outside the "
-                          "operator family; choose sigma in (0,1) or (1,inf)")
+    params = OperatorParams(cfg["a"], cfg["b"], cfg["sigma"], cfg["n"])
     if cfg["command"] == "exponents":
         # the exponents hold for 0 <= s <= sigma_min; linear-decay fits any s
-        smin = OperatorParams(cfg["a"], cfg["b"], cfg["sigma"], cfg["n"]).sigma_min
         for s in _floats(cfg["s_list"]):
-            if s > smin:
+            if s > params.sigma_min:
                 raise ConfigError(f"out-of-range key 's_list': entries must be <= "
-                                  f"sigma_min = {smin} for exponents, got {s}")
+                                  f"sigma_min = {params.sigma_min} for exponents, got {s}")
     if cfg["command"] == "blowup-functional" and cfg["r_list"]:
         fault = radii_fault(_floats(cfg["r_list"]))
         if fault:
             raise ConfigError(f"out-of-range key 'r_list': must {fault}, "
                               f"got {cfg['r_list']!r}")
+    if cfg["command"] == "lifespan-sweep":
+        fault = lifespan_fault(params, cfg["p"], _floats(cfg["eps_list"]))
+        if fault:
+            key, words = fault
+            raise ConfigError(f"out-of-range key '{key}': must {words}, got {cfg[key]!r}")
     # the largest step these runs take must advance the clock at t_end;
     # lifespan-sweep stops short of t_end, at its resolution horizon
     step = cfg["dt_max"]
@@ -373,7 +372,8 @@ def cmd_lifespan(cfg, params, out) -> tuple[dict, bool]:
 
 def _load_archive(cfg, params) -> SolutionArchive:
     direc = cfg["snapshots_dir"]
-    names = sorted(fn for fn in os.listdir(direc) if fn.startswith("snap_"))
+    names = sorted(fn for fn in os.listdir(direc)
+                   if fn.startswith("snap_") and fn.endswith(".bin"))
     if not names:
         raise ConfigError(f"no snap_*.bin files in '{direc}'")
     grid0, _, u0 = read_snapshot(os.path.join(direc, "data_u0.bin"))

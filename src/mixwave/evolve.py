@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import duhamel_weights, kernel_eval
-from .params import OperatorParams
+from .params import EXCEEDS_ONE, POSITIVE, POSITIVE_FINITE, OperatorParams, check_ranges
 from .torus import (
     BlowUpDetected,
     FieldState,
@@ -44,19 +44,13 @@ class StepControl:
     record_ratio: float = 1.1
     snapshots: bool = False
 
+    RULES = {"t_end": POSITIVE_FINITE, "dt_max": POSITIVE,
+             "safety": (lambda v: 0 < v <= 1, "be in (0, 1]"),
+             "blowup_threshold": (lambda v: v >= 1e3, "be >= 1e3"),
+             "record_ratio": EXCEEDS_ONE, "record_t0": POSITIVE}
+
     def __post_init__(self):
-        if not (self.t_end > 0 and math.isfinite(self.t_end)):
-            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if not self.dt_max > 0:
-            raise ValueError("dt_max must be positive")
-        if not 0 < self.safety <= 1:
-            raise ValueError("safety must lie in (0, 1]")
-        if self.blowup_threshold < 1e3:
-            raise ValueError("blowup_threshold must be at least 1e3")
-        if self.record_ratio <= 1:
-            raise ValueError("record_ratio must exceed 1")
-        if not self.record_t0 > 0:
-            raise ValueError("record_t0 must be positive")
+        check_ranges(vars(self), self.RULES)
 
 
 class RunStatus(enum.Enum):

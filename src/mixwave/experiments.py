@@ -272,6 +272,19 @@ def _map_members(member, eps: list[float]) -> list[LifespanRecord]:
     return [record for record, _ in results]
 
 
+def lifespan_fault(params: OperatorParams, p: float, eps_list) -> tuple[str, str] | None:
+    """The key that a lifespan sweep of (params, p, eps_list) breaks and the
+    words that finish "must ...", or None: p must not be super-critical, and
+    the fit needs at least two amplitudes, spanning at least one decade."""
+    if params.p_regime(p) == "super-critical":
+        return "p", f"be <= p_crit = {params.p_crit}"
+    if len(eps_list) < 2:
+        return "eps_list", "contain at least two values"
+    if max(eps_list) / min(eps_list) < 10.0 * (1 - 1e-9):
+        return "eps_list", "span at least one decade"
+    return None
+
+
 def lifespan_sweep(params: OperatorParams, p: float, eps_list, grid: Grid,
                    dt_max: float = 0.05, t_cap: float = 4000.0,
                    threshold: float = 1e6) -> LifespanReport:
@@ -280,16 +293,14 @@ def lifespan_sweep(params: OperatorParams, p: float, eps_list, grid: Grid,
     The members run in up to one worker process per usable CPU.  Sub-critical p
     fits log T against log eps and reports the slope next to the closed-form
     target; the critical case fits log T linearly in eps^-(p-1) and reports
-    the largest residual of that linear model.
+    the largest residual of that linear model.  (p, eps_list) must pass
+    lifespan_fault.
     """
     eps = sorted(float(e) for e in eps_list)
-    if len(eps) < 2:
-        raise ValueError("eps_list must contain at least two values")
-    if eps[-1] / eps[0] < 10.0 * (1 - 1e-9):
-        raise ValueError("eps_list must span at least one decade")
+    fault = lifespan_fault(params, p, eps)
+    if fault:
+        raise ValueError(f"{fault[0]} must {fault[1]}")
     regime = params.p_regime(p)
-    if regime == "super-critical":
-        raise ValueError(f"lifespan sweep needs p <= p_crit = {params.p_crit}")
 
     member = partial(lifespan_member, params, p, grid=grid, dt_max=dt_max, t_cap=t_cap,
                      threshold=threshold)

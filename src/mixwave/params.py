@@ -3,6 +3,7 @@
 The evolution operator is -a*Laplacian + b*(-Laplacian)^sigma with a, b > 0
 and fractional order sigma in (0,1) or (1,inf).  Everything downstream
 (kernels, quadrature, solver, experiments) consumes an OperatorParams.
+The input records' range rules, and check_ranges, which applies them, live here.
 """
 from __future__ import annotations
 
@@ -10,6 +11,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# a range rule: a test that NaN fails, and the words that finish "must ..."
+POSITIVE = (lambda v: v > 0, "be positive")
+POSITIVE_FINITE = (lambda v: 0 < v < math.inf, "be positive and finite")
+EXCEEDS_ONE = (lambda v: v > 1, "exceed 1")
+P_RULES = {"p": EXCEEDS_ONE}        # the power of the nonlinearity |u|^p
+
+
+def check_ranges(record: dict, rules: dict) -> None:
+    """Raise ValueError naming the first field of record that breaks its rule."""
+    for name, (test, words) in rules.items():
+        if not test(record[name]):
+            raise ValueError(f"{name} must {words}, got {record[name]}")
 
 
 @dataclass(frozen=True)
@@ -27,20 +41,12 @@ class OperatorParams:
     sigma: float
     n: int
 
+    RULES = {"a": POSITIVE, "b": POSITIVE,
+             "sigma": (lambda v: v > 0 and v != 1, "be positive and not 1"),
+             "n": (lambda v: isinstance(v, (int, np.integer)) and v >= 1, "be a positive integer")}
+
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"a must be positive, got {self.a}")
-        if not self.b > 0:
-            raise ValueError(f"b must be positive, got {self.b}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.sigma == 1:
-            raise ValueError(
-                "sigma = 1 excluded: the operator degenerates to a pure "
-                "Laplacian with ambiguous diffusion branch; use sigma != 1"
-            )
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        check_ranges(vars(self), self.RULES)
 
     @property
     def sigma_min(self) -> float:
@@ -66,8 +72,7 @@ class OperatorParams:
         """"critical" for p within 1e-12 relative of p_crit, which belongs to
         the blow-up side, else "sub-critical" or "super-critical".  The one
         place the package decides the p regime."""
-        if not p > 1:
-            raise ValueError(f"p must exceed 1, got {p}")
+        check_ranges({"p": p}, P_RULES)
         if math.isclose(p, self.p_crit, rel_tol=1e-12):
             return "critical"
         return "sub-critical" if p < self.p_crit else "super-critical"

@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .params import POSITIVE_FINITE, check_ranges
+
 SNAPSHOT_MAGIC = b"MWSN"
 SNAPSHOT_VERSION = 1
 # version, n, N, L and t after the magic
@@ -37,13 +39,13 @@ class Grid:
     N: int
     L: float
 
+    RULES = {"n": (lambda v: v in (1, 2), "be 1 or 2"),
+             "N": (lambda v: isinstance(v, (int, np.integer)) and v >= 64 and not v & (v - 1),
+                   "be a power of two >= 64"),
+             "L": POSITIVE_FINITE}
+
     def __post_init__(self):
-        if self.n not in (1, 2):
-            raise ValueError(f"dimension n must be 1 or 2, got {self.n}")
-        if self.N < 64 or self.N & (self.N - 1):
-            raise ValueError(f"N must be a power of two >= 64, got {self.N}")
-        if not (self.L > 0 and math.isfinite(self.L)):
-            raise ValueError(f"box half-length L must be positive and finite, got {self.L}")
+        check_ranges(vars(self), self.RULES)
 
     @property
     def dx(self) -> float:

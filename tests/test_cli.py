@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
-from mixwave import cli, io
+from mixwave import cli, io, params
 from mixwave.cli import ConfigError, main, read_config_file, resolve_config
+from mixwave.evolve import StepControl
 from mixwave.experiments import GATES, LifespanRecord, LifespanReport, gate
 from mixwave.params import OperatorParams, theorem_hypotheses
 from mixwave.torus import Grid, read_snapshot, write_snapshot
@@ -84,7 +86,8 @@ class TestConfigResolution:
             resolve_config(["exponents", "--a", "1", "--sigma", "0.5", "--n", "1"])
 
     def test_sigma_one_excluded(self):
-        with pytest.raises(ConfigError, match="sigma excluded"):
+        with pytest.raises(ConfigError, match=r"out-of-range key 'sigma': must be "
+                                              r"positive and not 1, got 1\.0"):
             resolve_config(["exponents", "--a", "1", "--b", "1",
                             "--sigma", "1", "--n", "1"])
 
@@ -180,6 +183,11 @@ class TestConfigResolution:
          "out-of-range key 'r_list': must span at least half a decade, got '1,2'"),
         ("blowup-functional", "--r-list", "5",
          "out-of-range key 'r_list': must contain at least two radii, got '5'"),
+        ("lifespan-sweep", "--eps-list", "0.1,0.2",
+         "out-of-range key 'eps_list': must span at least one decade, got '0.1,0.2'"),
+        ("lifespan-sweep", "--eps-list", "0.1",
+         "out-of-range key 'eps_list': must contain at least two values, got '0.1'"),
+        ("lifespan-sweep", "--p", "4", "out-of-range key 'p': must be <= p_crit = 2.0, got 4.0"),
     ])
     def test_list_and_width_ranges_exit_2(self, tmp_path, capsys, command, flag, raw,
                                           message):
@@ -194,6 +202,7 @@ class TestConfigResolution:
         ("a = -1", "out-of-range key 'a': must be positive, got -1.0"),
         ("grid_n = 100", "out-of-range key 'grid_n': must be a power of two >= 64"),
         ("s_list = 0,0", "out-of-range key 's_list': entries must be distinct"),
+        ("sigma = 1", "out-of-range key 'sigma': must be positive and not 1, got 1.0"),
     ])
     def test_config_file_range_error_names_file_and_line(self, tmp_path, capsys, line,
                                                          message):
@@ -256,6 +265,9 @@ class TestConfigResolution:
             argv.append(f"--config={tmp_path / 'run.cfg'}")
         else:
             argv.append(f"--{key.replace('_', '-')}={raw}")
+        if command == "lifespan-sweep":
+            # the sweep's own rules want a sub-critical p and a decade of eps
+            argv += ["--p", "1.5", "--eps-list", "0.1,1"]
         assert run_cli(argv) == 2
         assert f"key '{key}' is not read by command '{command}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -337,6 +349,43 @@ def test_each_default_passes_its_own_row(key):
     # defaults are never parsed, so this is what keeps them in range
     default = cli.CONFIG_KEYS[key][1]
     assert cli._parse_value(key, str(default)) == default
+
+
+# each key whose range rule is a library record's, and that rule
+_LIBRARY_RULES = {
+    "a": lambda: OperatorParams.RULES["a"],
+    "b": lambda: OperatorParams.RULES["b"],
+    "sigma": lambda: OperatorParams.RULES["sigma"],
+    "n": lambda: OperatorParams.RULES["n"],
+    "p": lambda: params.P_RULES["p"],
+    "grid_n": lambda: Grid.RULES["N"],
+    "box_l": lambda: Grid.RULES["L"],
+    "t_end": lambda: StepControl.RULES["t_end"],
+    "dt_max": lambda: StepControl.RULES["dt_max"],
+    "safety": lambda: StepControl.RULES["safety"],
+    "threshold": lambda: StepControl.RULES["blowup_threshold"],
+}
+
+
+@pytest.mark.parametrize("key", _LIBRARY_RULES)
+def test_config_row_holds_the_library_rule(key):
+    assert cli.CONFIG_KEYS[key][2] is _LIBRARY_RULES[key]()
+
+
+def test_readme_lists_the_keys_each_command_reads():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("### Config keys", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for command, cell in re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", section, re.M):
+        table[command] = [k for group in re.findall(r"`([^`]*)`", cell)
+                          for k in group.split(", ")]
+    assert table == {name: list(keys) for name, (_, _, keys) in cli.COMMANDS.items()}
+    prose = " ".join(section.split())
+    stored = re.search(r"reads only `([^`]*)`", prose).group(1).split(", ")
+    assert stored == list(cli.STORED_SNAPSHOT_KEYS)
+    others = re.search(r"setting `([^`]*)` or `([^`]*)` there is a config error", prose)
+    skipped = others.group(1).split(", ") + [others.group(2)]
+    assert skipped == [k for k in cli.COMMANDS["blowup-functional"][2] if k not in stored]
 
 
 def test_help_states_each_range_rule():
@@ -451,7 +500,7 @@ class TestCommands:
         code = run_cli(["exponents", "--a", "1", "--b", "1", "--sigma", "1",
                         "--n", "1", "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "sigma excluded" in capsys.readouterr().err
+        assert "out-of-range key 'sigma': must be positive and not 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("below", [(), ("sub",)])
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys, below):
@@ -496,19 +545,19 @@ class TestCommands:
 
     def test_lifespan_keeps_zero_blowup_time(self, tmp_path, monkeypatch):
         # a member that blew up at t = 0.0 is a usable record, not a missing one
-        records = [LifespanRecord(0.5, 0.0, (0.0, 0.0)),
+        records = [LifespanRecord(1.25, 0.0, (0.0, 0.0)),
                    LifespanRecord(0.25, 3.5, (3.0, 3.5)),
                    LifespanRecord(0.125, None, (None, None), flagged="no blow-up")]
         report = LifespanReport(records, -1.0, -1.0, None, None)
         monkeypatch.setattr(cli, "lifespan_sweep", lambda *args, **kwargs: report)
         out = tmp_path / "l"
         code = run_cli(["lifespan-sweep", "--a", "1", "--b", "1", "--sigma", "0.5",
-                        "--n", "1", "--p", "1.5", "--eps-list", "0.5,0.25,0.125",
+                        "--n", "1", "--p", "1.5", "--eps-list", "1.25,0.25,0.125",
                         "--out", str(out)])
         assert code == 0
         rows = (out / "lifespan.csv").read_text().splitlines()
         assert rows == ["eps,t_blowup,band_low,band_high,flag",
-                        "0.5,0.0,0.0,0.0,", "0.25,3.5,3.0,3.5,",
+                        "1.25,0.0,0.0,0.0,", "0.25,3.5,3.0,3.5,",
                         "0.125,nan,nan,nan,no blow-up"]
         assert not list(out.glob("*.dat"))
 
@@ -700,6 +749,16 @@ class TestStoredSnapshotChecks:
     def test_n_other_than_the_stored_dimension_exits_2(self, stored, tmp_path, capsys):
         assert self._functional(stored, tmp_path, n="2") == 2
         assert ("key 'n' is 2, but the snapshots in" in capsys.readouterr().err)
+
+    def test_stray_snap_file_is_not_read(self, stored, tmp_path):
+        # only snap_*.bin files are snapshots; this one used to fail on its magic
+        snaps = shutil.copytree(stored, tmp_path / "snaps")
+        summary = tmp_path / "o" / "blowup_functional.json"
+        code = self._functional(snaps, tmp_path)
+        clean = summary.read_bytes()
+        (snaps / "snap_notes.txt").write_text("hi\n")
+        assert self._functional(snaps, tmp_path) == code
+        assert summary.read_bytes() == clean
 
     def test_no_snapshot_files_exits_2(self, stored, tmp_path, capsys):
         snaps = tmp_path / "snaps"

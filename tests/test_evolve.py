@@ -47,6 +47,11 @@ def test_step_control_validation():
         StepControl(t_end=1.0, record_ratio=1.0)
     with pytest.raises(ValueError, match="record_t0 must be positive"):
         StepControl(t_end=1.0, record_t0=0.0)
+    # a NaN threshold never detects a blow-up; a NaN ratio stops the recording
+    with pytest.raises(ValueError, match="blowup_threshold must be >= 1e3, got nan"):
+        StepControl(t_end=1.0, blowup_threshold=math.nan)
+    with pytest.raises(ValueError, match="record_ratio must exceed 1, got nan"):
+        StepControl(t_end=1.0, record_ratio=math.nan)
 
 
 @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), 0.0, -1.0])

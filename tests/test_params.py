@@ -1,12 +1,14 @@
+import math
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
 
-from mixwave.evolve import resolution_horizon
+from mixwave.evolve import StepControl, resolution_horizon
 from mixwave.kernels import profile_hat
-from mixwave.params import OperatorParams, symbol, theorem_hypotheses
+from mixwave.params import P_RULES, OperatorParams, symbol, theorem_hypotheses
+from mixwave.torus import Grid
 
 
 def test_valid_params_and_derived():
@@ -29,6 +31,12 @@ def test_valid_params_and_derived():
 def test_invalid_params_rejected(bad):
     with pytest.raises(ValueError):
         OperatorParams(**bad)
+
+
+def test_every_range_rule_rejects_nan():
+    for rules in (OperatorParams.RULES, Grid.RULES, StepControl.RULES, P_RULES):
+        for field, (test, _) in rules.items():
+            assert not test(math.nan), field
 
 
 def test_symbol_values():

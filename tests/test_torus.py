@@ -48,6 +48,8 @@ class TestGrid:
         dict(n=1, N=128, L=0.0),
         dict(n=1, N=128, L=math.inf),
         dict(n=1, N=128, L=math.nan),
+        dict(n=1, N=64.0, L=10.0),  # not an integer
+        dict(n=1, N=math.nan, L=10.0),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -317,7 +319,8 @@ class TestSnapshots:
                 read_snapshot(path)
 
     @pytest.mark.parametrize("L, t, message", [
-        (math.inf, 1.0, "box half-length"), (math.nan, 1.0, "box half-length"),
+        (math.inf, 1.0, "L must be positive and finite"),
+        (math.nan, 1.0, "L must be positive and finite"),
         (10.0, math.nan, "snapshot time"), (10.0, -math.inf, "snapshot time"),
     ])
     def test_non_finite_header_rejected(self, tmp_path, L, t, message):
